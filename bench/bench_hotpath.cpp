@@ -1,20 +1,15 @@
-// Hot-path microbenchmarks: the full-stack per-flit cost this PR's
-// flattening targets (BENCH_sim_kernel.json tracks the trajectory).
+// Hot-path microbenchmarks: the full-stack per-flit cost of the
+// flattened flit path (BENCH_sim_kernel.json tracks the trajectory).
 //
 //   * BM_GsHotpathHop        — one GS flit across one router hop,
 //                              injection to passive sink (the same shape
 //                              as bench_sim_kernel's BM_GsFlitHop).
-//   * BM_GsHotpathHopLegacy  — identical workload with handshake
-//                              coalescing off: the multi-event reference
-//                              path, so the coalescing win is tracked in
-//                              one binary.
 //   * BM_BeInjectionToSink   — BE packets source-routed across a 2x2
 //                              mesh from pooled storage via the
 //                              materialized route tables, injection to
 //                              reassembled delivery at a passive sink.
 //   * BM_BeHeaderLookup      — the per-packet route cost alone: the
-//                              route-table header lookup vs rebuilding
-//                              the route through the virtual interface.
+//                              route-table header lookup.
 #include <benchmark/benchmark.h>
 
 #include "noc/network/connection_manager.hpp"
@@ -26,13 +21,11 @@ using namespace mango::noc;
 
 namespace {
 
-void gs_hop(benchmark::State& state, bool coalesce) {
+void BM_GsHotpathHop(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     sim::SimContext ctx;
-    RouterConfig rc{};
-    rc.coalesce_handshakes = coalesce;
-    MeshConfig mesh{2, 1, rc, 1};
+    MeshConfig mesh{2, 1, RouterConfig{}, 1};
     Network net(ctx, mesh);
     ConnectionManager mgr(net, NodeId{0, 0});
     const Connection& c = mgr.open_direct({0, 0}, {1, 0});
@@ -49,12 +42,7 @@ void gs_hop(benchmark::State& state, bool coalesce) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-
-void BM_GsHotpathHop(benchmark::State& state) { gs_hop(state, true); }
 BENCHMARK(BM_GsHotpathHop)->Arg(10000);
-
-void BM_GsHotpathHopLegacy(benchmark::State& state) { gs_hop(state, false); }
-BENCHMARK(BM_GsHotpathHopLegacy)->Arg(10000);
 
 void BM_BeInjectionToSink(benchmark::State& state) {
   // End-to-end BE path: pooled packet assembly with a table header,
@@ -112,29 +100,6 @@ void BM_BeHeaderLookup(benchmark::State& state) {
   benchmark::DoNotOptimize(acc);
 }
 BENCHMARK(BM_BeHeaderLookup);
-
-void BM_BeRouteLegacyBuild(benchmark::State& state) {
-  // The pre-table cost: virtual route() + vector materialization +
-  // header encoding per packet.
-  sim::SimContext ctx;
-  MeshConfig mesh{4, 4, RouterConfig{}, 1};
-  Network net(ctx, mesh);
-  std::uint32_t acc = 0;
-  std::uint16_t i = 0;
-  for (auto _ : state) {
-    const NodeId src{static_cast<std::uint16_t>(i & 3),
-                     static_cast<std::uint16_t>((i >> 2) & 3)};
-    const NodeId dst{static_cast<std::uint16_t>(3 - (i & 3)),
-                     static_cast<std::uint16_t>(3 - ((i >> 2) & 3))};
-    i = static_cast<std::uint16_t>((i + 1) & 15);
-    if (src == dst) continue;
-    BeRoute r;
-    r.moves = net.routing().route(src, dst);
-    acc ^= build_be_header(r);
-  }
-  benchmark::DoNotOptimize(acc);
-}
-BENCHMARK(BM_BeRouteLegacyBuild);
 
 }  // namespace
 

@@ -10,6 +10,7 @@
 // stable entry points.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -138,14 +139,70 @@ struct ScenarioStats {
   std::uint64_t total_flits_on_links = 0;
   double peak_link_utilization = 0.0;
 
-  /// Exact equality — scenario runs are deterministic per spec, so two
-  /// runs of the same spec must compare equal (sweep --repeat uses this
-  /// to turn a nondeterministic rerun into a reported error).
+  /// Exact equality over every field of the schema below — scenario
+  /// runs are deterministic per spec, so two runs of the same spec must
+  /// compare equal (sweep --repeat uses this to turn a nondeterministic
+  /// rerun into a reported error).
   friend bool operator==(const ScenarioStats& a, const ScenarioStats& b);
   friend bool operator!=(const ScenarioStats& a, const ScenarioStats& b) {
     return !(a == b);
   }
 };
+
+/// The one schema of ScenarioStats: calls fn(json_key, member pointer)
+/// for every field, in report order. operator== and the sweep report's
+/// stats writer are both generated from it, so a new field is declared
+/// in the struct and listed here, nowhere else.
+template <typename Fn>
+constexpr void for_each_stats_field(Fn&& fn) {
+  using S = ScenarioStats;
+  fn("events", &S::events);
+  fn("be_packets_generated", &S::be_packets_generated);
+  fn("be_packets_delivered", &S::be_packets_delivered);
+  fn("be_injections_held", &S::be_injections_held);
+  fn("be_throughput_pkts_per_ns", &S::be_throughput_pkts_per_ns);
+  fn("be_latency_p50_ns", &S::be_latency_p50_ns);
+  fn("be_latency_p95_ns", &S::be_latency_p95_ns);
+  fn("be_latency_p99_ns", &S::be_latency_p99_ns);
+  fn("be_latency_max_ns", &S::be_latency_max_ns);
+  fn("gs_connections", &S::gs_connections);
+  fn("gs_flits_generated", &S::gs_flits_generated);
+  fn("gs_flits_delivered", &S::gs_flits_delivered);
+  fn("gs_throughput_flits_per_ns", &S::gs_throughput_flits_per_ns);
+  fn("gs_latency_p50_ns", &S::gs_latency_p50_ns);
+  fn("gs_latency_p99_ns", &S::gs_latency_p99_ns);
+  fn("gs_latency_max_ns", &S::gs_latency_max_ns);
+  fn("gs_jitter_max_ns", &S::gs_jitter_max_ns);
+  fn("guarantee_violations", &S::guarantee_violations);
+  fn("gs_seq_errors", &S::gs_seq_errors);
+  fn("churn_requested", &S::churn_requested);
+  fn("churn_admitted", &S::churn_admitted);
+  fn("churn_queued", &S::churn_queued);
+  fn("churn_rejected", &S::churn_rejected);
+  fn("churn_ready", &S::churn_ready);
+  fn("churn_closed", &S::churn_closed);
+  fn("churn_retries", &S::churn_retries);
+  fn("churn_blocking_probability", &S::churn_blocking_probability);
+  fn("churn_setup_p50_ns", &S::churn_setup_p50_ns);
+  fn("churn_setup_p99_ns", &S::churn_setup_p99_ns);
+  fn("churn_setup_max_ns", &S::churn_setup_max_ns);
+  fn("churn_teardown_p50_ns", &S::churn_teardown_p50_ns);
+  fn("churn_teardown_p99_ns", &S::churn_teardown_p99_ns);
+  fn("churn_flits_generated", &S::churn_flits_generated);
+  fn("churn_flits_delivered", &S::churn_flits_delivered);
+  fn("total_flits_on_links", &S::total_flits_on_links);
+  fn("peak_link_utilization", &S::peak_link_utilization);
+}
+
+// Every field is 8 bytes wide, so a member missing from the schema
+// shows up as a size mismatch here.
+static_assert([] {
+  std::size_t bytes = 0;
+  for_each_stats_field([&bytes](const char*, auto member) {
+    bytes += sizeof(ScenarioStats{}.*member);
+  });
+  return bytes == sizeof(ScenarioStats);
+}(), "a ScenarioStats field is missing from for_each_stats_field");
 
 struct ScenarioResult {
   ScenarioSpec spec;

@@ -124,18 +124,6 @@ struct RouterConfig {
   ArbiterKind arbiter = ArbiterKind::kFairShare;
   TimingCorner corner = TimingCorner::kWorstCase;
 
-  /// Coalesce fixed-delay handshake event chains into single scheduled
-  /// transfer events with analytically computed arrival timestamps:
-  /// link forward + downstream switch stage, NA injection wire + switch
-  /// stage, and reverse wire + sharebox re-arm. Arrival times and all
-  /// observable state transitions are identical to the multi-event
-  /// chains (differential-tested in tests/test_hotpath.cpp), and folded
-  /// hops still count as dispatched events (Simulator::
-  /// note_folded_hop_at) so event totals stay comparable across
-  /// versions. false = legacy per-hop event chains (the reference the
-  /// differential test runs against).
-  bool coalesce_handshakes = true;
-
   /// GS connections the router can buffer simultaneously (the paper's
   /// "32 independently buffered GS connections" at V=8).
   unsigned max_gs_connections() const { return 4 * vcs_per_port; }

@@ -12,27 +12,12 @@
 
 namespace mango::noc::events {
 
-namespace detail {
-std::atomic<bool> g_typed_enabled{true};
-}  // namespace detail
-
-void set_typed_dispatch_enabled(bool on) {
-  detail::g_typed_enabled.store(on, std::memory_order_relaxed);
-}
-
 void dispatch_event(sim::TypedEvent& ev) {
   switch (ev.op) {
     case kOpLinkFlit:
       static_cast<Router*>(ev.p0)->receive_link_flit(
           static_cast<PortIdx>(ev.a), load_link_flit(ev));
       return;
-    case kOpGsDeliverId: {
-      Flit f = load_flit(ev);
-      static_cast<Router*>(ev.p0)->deliver_gs_coalesced(
-          VcBufferId{static_cast<PortIdx>(ev.a), static_cast<VcIdx>(ev.b)},
-          std::move(f));
-      return;
-    }
     case kOpGsDeliverPtr: {
       Flit f = load_flit(ev);
       static_cast<Router*>(ev.p0)->deliver_gs_coalesced(
@@ -83,10 +68,6 @@ void dispatch_event(sim::TypedEvent& ev) {
       static_cast<Router*>(ev.p0)->deliver_local_be_credit(
           static_cast<BeVcIdx>(ev.a));
       return;
-    case kOpNaGsInject:
-      static_cast<NetworkAdapter*>(ev.p0)->inject_gs_now(
-          static_cast<LocalIfaceIdx>(ev.a), load_link_flit(ev));
-      return;
     case kOpNaGsRecover:
       static_cast<NetworkAdapter*>(ev.p0)->recover_gs_stage(
           static_cast<LocalIfaceIdx>(ev.a));
@@ -111,7 +92,7 @@ void dispatch_event(sim::TypedEvent& ev) {
       return;
     case kOpVcLocalReverse:
       static_cast<VcControlModule*>(ev.p0)->deliver_local(
-          static_cast<LocalIfaceIdx>(ev.a), ev.b != 0);
+          static_cast<LocalIfaceIdx>(ev.a));
       return;
     default:
       break;

@@ -17,8 +17,8 @@ Link::Link(Endpoint a, Endpoint b, unsigned pipeline_stages,
   MANGO_ASSERT(a_.router != nullptr && b_.router != nullptr,
                "link endpoints must be routers");
   // Endpoints in different SimContexts are a shard boundary: allowed,
-  // but every send must go through set_boundary() channels (asserted in
-  // the send paths).
+  // but every send must go through set_boundary() channels (Network
+  // attaches them to every link whose endpoints sit on different shards).
   sims_[0] = &a_.router->ctx().sim();
   sims_[1] = &b_.router->ctx().sim();
   MANGO_ASSERT(a_.router != b_.router, "self-links are not supported");
@@ -31,10 +31,6 @@ Link::Link(Endpoint a, Endpoint b, unsigned pipeline_stages,
                  "bundled-data link skew exceeds the timing margin — use "
                  "1-of-4 delay-insensitive signaling");
   }
-  MANGO_ASSERT(a_.router->config().coalesce_handshakes ==
-                   b_.router->config().coalesce_handshakes,
-               "link endpoints disagree on handshake coalescing");
-  coalesce_ = a_.router->config().coalesce_handshakes;
   events::install(*sims_[0]);
   events::install(*sims_[1]);
   a_.router->attach_link(a_.port, this);
@@ -45,12 +41,6 @@ const Link::Endpoint& Link::peer_of(const Router* from) const {
   if (from == a_.router) return b_;
   MANGO_ASSERT(from == b_.router, "send from a router not on this link");
   return a_;
-}
-
-const Link::Endpoint& Link::self_of(const Router* from) const {
-  if (from == a_.router) return a_;
-  MANGO_ASSERT(from == b_.router, "send from a router not on this link");
-  return b_;
 }
 
 unsigned Link::dir_of(const Router* from) const {
@@ -94,59 +84,12 @@ sim::Time Link::reverse_latency() const {
 
 void Link::send_flit(const Router* from, LinkFlit lf) {
   const unsigned dir = dir_of(from);
-  const Endpoint& peer = dir == 0 ? b_ : a_;
+  MANGO_ASSERT(boundary_[dir] != nullptr,
+               "GS link flits are sent through the boundary channels only");
   ++flits_carried_[dir];
-  if (boundary_[dir] != nullptr) {
-    // Cross-shard: hand off for barrier admission; the destination runs
-    // the plain uncoalesced receive (no peer state is read here).
-    push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_latency());
-    return;
-  }
-  MANGO_ASSERT(sims_[0] == sims_[1],
-               "cross-context link used without boundary channels");
-  sim::Simulator& sim_ = *sims_[dir];
-  if (!coalesce_) {
-    sim::TypedEvent ev{};
-    ev.op = events::kOpLinkFlit;
-    ev.a = peer.port;
-    ev.p0 = peer.router;
-    events::store_link_flit(ev, lf);
-    events::emit_after(sim_, forward_latency(), ev);
-    return;
-  }
-  // Coalesced GS transfer: the peer's split map is static, so the
-  // destination is resolved now and the split/switch/unshare stage delay
-  // folds into this single event's timestamp — same arrival instant as
-  // the receive-then-traverse event pair it replaces. The folded link
-  // arrival is declared with its analytic time so event totals stay
-  // bit-identical even when run_until() cuts a chain mid-flight.
-  //
-  // BE transfers deliberately keep the two-event chain: push_input runs
-  // the BE router's arbitration synchronously at dispatch, so its
-  // same-timestamp order against other BE events is observable — folding
-  // would move its insertion point and flip tie-breaks. GS deliveries
-  // only schedule delayed effects (buffer advance, req_fwd), which makes
-  // the fold order-exact.
-  const sim::Time fwd = forward_latency();
-  const SwitchingModule::PlannedHop hop =
-      peer.router->switching().plan(peer.port, lf.steer);
-  if (hop.to_be) {
-    sim::TypedEvent ev{};
-    ev.op = events::kOpLinkFlit;
-    ev.a = peer.port;
-    ev.p0 = peer.router;
-    events::store_link_flit(ev, lf);
-    events::emit_after(sim_, fwd, ev);
-  } else {
-    sim_.note_folded_hop_at(sim_.now() + fwd);
-    sim::TypedEvent ev{};
-    ev.op = events::kOpGsDeliverId;
-    ev.a = hop.target.port;
-    ev.b = hop.target.vc;
-    ev.p0 = peer.router;
-    events::store_flit(ev, lf.flit);
-    events::emit_after(sim_, fwd + hop.stage_delay, ev);
-  }
+  // Cross-shard: hand off for barrier admission; the destination runs
+  // the plain two-event receive (no peer state is read here).
+  push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_latency());
 }
 
 void Link::send_be_flit(const Router* from, LinkFlit lf) {
@@ -162,7 +105,7 @@ void Link::send_be_flit(const Router* from, LinkFlit lf) {
   ev.a = peer.port;
   ev.p0 = peer.router;
   events::store_link_flit(ev, lf);
-  events::emit_after(*sims_[dir], forward_latency(), ev);
+  sims_[dir]->after_typed(forward_latency(), ev);
 }
 
 void Link::send_reverse(const Router* from, VcIdx wire) {
@@ -174,15 +117,6 @@ void Link::send_reverse(const Router* from, VcIdx wire) {
     return;
   }
   sim::Simulator& sim_ = *sims_[dir];
-  if (!coalesce_) {
-    sim::TypedEvent ev{};
-    ev.op = events::kOpReverse;
-    ev.a = peer.port;
-    ev.b = wire;
-    ev.p0 = peer.router;
-    events::emit_after(sim_, reverse_latency(), ev);
-    return;
-  }
   // Fold the flow box's re-arm delay (0 for credit boxes) into the wire
   // event: one scheduled event from unlock toggle to box-ready.
   const sim::Time rearm = peer.router->reverse_fold_delay();
@@ -193,7 +127,7 @@ void Link::send_reverse(const Router* from, VcIdx wire) {
   ev.a = peer.port;
   ev.b = wire;
   ev.p0 = peer.router;
-  events::emit_after(sim_, rev + rearm, ev);
+  sim_.after_typed(rev + rearm, ev);
 }
 
 sim::Time Link::be_credit_latency() const {
@@ -214,7 +148,7 @@ void Link::send_be_credit(const Router* from, BeVcIdx vc) {
   ev.a = peer.port;
   ev.b = vc;
   ev.p0 = peer.router;
-  events::emit_after(*sims_[dir], be_credit_latency(), ev);
+  sims_[dir]->after_typed(be_credit_latency(), ev);
 }
 
 }  // namespace mango::noc

@@ -49,14 +49,19 @@ class Link {
        LinkSignaling signaling = LinkSignaling::kBundledData,
        sim::Time skew_ps = 0);
 
-  /// Sends a flit from `from` to the peer (arrives after the merge +
-  /// wire delay at the peer's input port).
+  /// Sends a GS flit from `from` across a shard boundary (arrives after
+  /// the merge + wire delay at the peer's input port). Same-shard GS
+  /// transfers skip the link: the sending router's cached plan lands
+  /// the flit in the peer's VC buffer in one event.
   void send_flit(const Router* from, LinkFlit lf);
 
-  /// BE fast path: the caller (BeOutputStage) knows the steer decodes to
+  /// BE transfer: the caller (BeOutputStage) knows the steer decodes to
   /// the peer's BE router, so the per-flit switching decode is skipped.
-  /// BE transfers always use the two-event chain (see send_flit's
-  /// comment on why the BE fold is forbidden).
+  /// BE transfers always use the two-event chain: push_input runs the
+  /// BE router's arbitration synchronously at dispatch, so its
+  /// same-timestamp order against other BE events is observable, and
+  /// folding the switch stage into the link event would move its
+  /// insertion point and flip tie-breaks.
   void send_be_flit(const Router* from, LinkFlit lf);
 
   /// Reverse GS signal (unlock toggle / credit) from `from` back to the
@@ -116,7 +121,6 @@ class Link {
 
  private:
   const Endpoint& peer_of(const Router* from) const;
-  const Endpoint& self_of(const Router* from) const;
   unsigned dir_of(const Router* from) const;
   void push_boundary(unsigned dir, BoundaryKind kind, VcIdx wire, LinkFlit lf,
                      sim::Time latency);
@@ -127,7 +131,6 @@ class Link {
   unsigned stages_;
   LinkSignaling signaling_;
   sim::Time skew_;
-  bool coalesce_ = true;  ///< from RouterConfig::coalesce_handshakes
   BoundaryChannel* boundary_[2] = {nullptr, nullptr};  ///< a->b, b->a
   std::uint64_t flits_carried_[2] = {0, 0};            ///< a->b, b->a
 };

@@ -11,7 +11,6 @@ NetworkAdapter::NetworkAdapter(Router& router, std::string name)
       name_(std::move(name)),
       delays_(router.delays()),
       flit_pool_(router.ctx().pools().vectors<Flit>()),
-      coalesce_(router.config().coalesce_handshakes),
       num_ifaces_(router.config().local_gs_ifaces),
       be_lanes_(router.config().be_vcs) {
   events::install(sim_);
@@ -20,8 +19,6 @@ NetworkAdapter::NetworkAdapter(Router& router, std::string name)
     lane.credits = router.config().be_buffer_depth;
   }
   router_.set_local_reverse_handler(
-      [this](LocalIfaceIdx i) { on_local_reverse(i); });
-  router_.set_local_reverse_complete_handler(
       [this](LocalIfaceIdx i) { complete_local_reverse(i); });
   router_.set_local_out_notify([this](LocalIfaceIdx i) { on_local_head(i); });
   router_.set_local_be_credit_handler([this](BeVcIdx vc) {
@@ -71,16 +68,13 @@ void NetworkAdapter::configure_gs_source(LocalIfaceIdx iface,
   MANGO_ASSERT(!src.configured,
                "GS source iface already bound on " + name_);
   src.configured = true;
-  src.steer = first_hop;
-  if (coalesce_) {
-    // Resolve the (static) switching decision once: injected flits go
-    // straight to their VC buffer in one wire + stage event.
-    const SwitchingModule::PlannedHop hop =
-        router_.switching().plan(kLocalPort, first_hop);
-    MANGO_ASSERT(!hop.to_be, "GS source steered at the BE router");
-    src.inject_target = &router_.vc_buffer(hop.target);
-    src.inject_delay = delays_.na_link_fwd + hop.stage_delay;
-  }
+  // Resolve the (static) switching decision once: injected flits go
+  // straight to their VC buffer in one wire + stage event.
+  const SwitchingModule::PlannedHop hop =
+      router_.switching().plan(kLocalPort, first_hop);
+  MANGO_ASSERT(!hop.to_be, "GS source steered at the BE router");
+  src.inject_target = &router_.vc_buffer(hop.target);
+  src.inject_delay = delays_.na_link_fwd + hop.stage_delay;
   const VcScheme scheme =
       router_.config().arbiter == ArbiterKind::kUnregulated
           ? VcScheme::kCreditBased
@@ -144,44 +138,25 @@ void NetworkAdapter::drain_gs(LocalIfaceIdx iface) {
   src.flow->on_admit();
   src.stage_busy = true;
   ++src.sent;
-  if (coalesce_) {
-    sim_.note_folded_hop_at(sim_.now() + delays_.na_link_fwd);
-    sim::TypedEvent ev{};
-    ev.op = events::kOpGsDeliverPtr;
-    ev.p0 = &router_;
-    ev.p1 = src.inject_target;
-    events::store_flit(ev, f);
-    events::emit_after(sim_, src.inject_delay, ev);
-  } else {
-    sim::TypedEvent ev{};
-    ev.op = events::kOpNaGsInject;
-    ev.a = iface;
-    ev.p0 = this;
-    events::store_link_flit(ev, LinkFlit{src.steer, f});
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
-  }
-  // The local interface handshake stage recovers after one cycle.
+  // The NA wire hop folds into the switch-stage delivery event.
+  sim_.note_folded_hop_at(sim_.now() + delays_.na_link_fwd);
   sim::TypedEvent ev{};
-  ev.op = events::kOpNaGsRecover;
-  ev.a = iface;
-  ev.p0 = this;
-  events::emit_after(sim_, delays_.arb_cycle, ev);
-}
-
-void NetworkAdapter::inject_gs_now(LocalIfaceIdx iface, const LinkFlit& lf) {
-  router_.inject_local_gs(iface, lf);
+  ev.op = events::kOpGsDeliverPtr;
+  ev.p0 = &router_;
+  ev.p1 = src.inject_target;
+  events::store_flit(ev, f);
+  sim_.after_typed(src.inject_delay, ev);
+  // The local interface handshake stage recovers after one cycle.
+  sim::TypedEvent rec{};
+  rec.op = events::kOpNaGsRecover;
+  rec.a = iface;
+  rec.p0 = this;
+  sim_.after_typed(delays_.arb_cycle, rec);
 }
 
 void NetworkAdapter::recover_gs_stage(LocalIfaceIdx iface) {
   gs_src_[iface].stage_busy = false;
   drain_gs(iface);
-}
-
-void NetworkAdapter::on_local_reverse(LocalIfaceIdx iface) {
-  GsSource& src = gs_src_.at(iface);
-  MANGO_ASSERT(src.configured && src.flow != nullptr,
-               "reverse signal for unconfigured GS source on " + name_);
-  src.flow->on_reverse_signal();
 }
 
 void NetworkAdapter::complete_local_reverse(LocalIfaceIdx iface) {
@@ -192,7 +167,7 @@ void NetworkAdapter::complete_local_reverse(LocalIfaceIdx iface) {
 }
 
 void NetworkAdapter::on_local_head(LocalIfaceIdx iface) {
-  if (coalesce_ && sink_service_ == 0 && gs_timed_handler_ &&
+  if (sink_service_ == 0 && gs_timed_handler_ &&
       router_.vc_scheme() == VcScheme::kShareBased) {
     // Zero-service sink feeding a *passive* handler on a share-based
     // buffer: the service event would fire at this same instant and the
@@ -221,7 +196,7 @@ void NetworkAdapter::on_local_head(LocalIfaceIdx iface) {
     ev.a = iface;
     ev.p0 = this;
     events::store_flit(ev, f);
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
+    sim_.after_typed(delays_.na_link_fwd, ev);
     // The buffer refill (unsharebox advance) re-notifies us.
   });
 }
@@ -273,11 +248,11 @@ void NetworkAdapter::drain_be() {
     ev.op = events::kOpNaBeInject;
     ev.p0 = this;
     events::store_flit(ev, f);
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
+    sim_.after_typed(delays_.na_link_fwd, ev);
     sim::TypedEvent rec{};
     rec.op = events::kOpNaBeRecover;
     rec.p0 = this;
-    events::emit_after(sim_, delays_.arb_cycle, rec);
+    sim_.after_typed(delays_.arb_cycle, rec);
     return;
   }
 }

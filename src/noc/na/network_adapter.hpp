@@ -4,8 +4,8 @@
 // physical interfaces: 4 GS interfaces (one per local GS input/output
 // interface pair) and 1 BE interface. The NA
 //
-//   * drives GS source interfaces: it holds the first-hop steering bits
-//     of the connection starting at that interface plus the flow box
+//   * drives GS source interfaces: it holds the first-hop plan (resolved
+//     from the connection's steering bits) plus the flow box
 //     (sharebox/credits) for the first media crossing,
 //   * consumes GS delivery interfaces (the local output VC buffers),
 //   * packetizes/streams BE packets under credit flow control,
@@ -114,8 +114,6 @@ class NetworkAdapter {
   const std::string& name() const { return name_; }
 
   // --- typed-dispatch entry points (scheduled by the drain stages) ---
-  /// Uncoalesced GS injection lands at the router's local port.
-  void inject_gs_now(LocalIfaceIdx iface, const LinkFlit& lf);
   /// The local GS handshake stage recovers after one cycle.
   void recover_gs_stage(LocalIfaceIdx iface);
   /// A consumed GS flit crosses the NA-local wire to the handler.
@@ -128,9 +126,8 @@ class NetworkAdapter {
  private:
   struct GsSource {
     bool configured = false;
-    SteerBits steer;
-    /// Coalesced-injection plan resolved at configure time: the VC
-    /// buffer the first hop lands in and the wire + stage delay.
+    /// First-hop plan resolved from the steering bits at configure
+    /// time: the VC buffer the flit lands in and the wire + stage delay.
     VcBuffer* inject_target = nullptr;
     sim::Time inject_delay = 0;
     std::unique_ptr<VcFlowControl> flow;
@@ -141,7 +138,6 @@ class NetworkAdapter {
   };
 
   void drain_gs(LocalIfaceIdx iface);
-  void on_local_reverse(LocalIfaceIdx iface);
   void complete_local_reverse(LocalIfaceIdx iface);
   void on_local_head(LocalIfaceIdx iface);
   void drain_be();
@@ -158,7 +154,6 @@ class NetworkAdapter {
   /// here (send side) and reassembly storage is drawn from it (receive
   /// side), so steady-state BE traffic never touches the heap.
   sim::VectorPool<Flit>& flit_pool_;
-  const bool coalesce_;  ///< RouterConfig::coalesce_handshakes
 
   std::array<GsSource, 8> gs_src_{};  // sized for max local ifaces
   unsigned num_ifaces_;

@@ -271,7 +271,7 @@ void Network::drain_boundaries() {
         ev.b = static_cast<BeVcIdx>(a.rec.wire);
         break;
     }
-    events::emit_admit(dst, a.rec.arrival, a.rec.birth, ev);
+    dst.admit_typed(a.rec.arrival, a.rec.birth, ev);
   }
 }
 

@@ -10,6 +10,7 @@
 
 #include "noc/common/flit.hpp"
 #include "sim/assert.hpp"
+#include "sim/fnv1a.hpp"
 
 namespace mango::noc {
 
@@ -895,8 +896,7 @@ class CdgBuilder {
       // order-sensitive FNV-1a over the insertion sequence, so two
       // checks can prove they examined the same CDG.
       ++edges_;
-      digest_ = (digest_ ^ from) * 1099511628211ull;
-      digest_ = (digest_ ^ to) * 1099511628211ull;
+      digest_ = sim::fnv1a_step(sim::fnv1a_step(digest_, from), to);
     }
   }
 
@@ -947,7 +947,7 @@ class CdgBuilder {
   bool classes_;
   std::vector<std::vector<std::uint32_t>> deps_;
   std::uint64_t edges_ = 0;
-  std::uint64_t digest_ = 1469598103934665603ull;  // FNV-1a offset basis
+  std::uint64_t digest_ = sim::kFnv1aBasis;
 };
 
 }  // namespace

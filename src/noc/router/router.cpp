@@ -134,20 +134,13 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
                                    port_name(in_port) + " on " + name_);
     l->send_reverse(this, wire);
   });
-  vc_control_.set_local_out([this](LocalIfaceIdx iface) {
-    MANGO_ASSERT(static_cast<bool>(local_reverse_),
-                 "no NA reverse handler on " + name_);
-    local_reverse_(iface);
-  });
-  if (cfg_.coalesce_handshakes) {
-    vc_control_.set_local_complete(
-        [this](LocalIfaceIdx iface) {
-          MANGO_ASSERT(static_cast<bool>(local_reverse_complete_),
-                       "no NA reverse-complete handler on " + name_);
-          local_reverse_complete_(iface);
-        },
-        reverse_fold_delay());
-  }
+  vc_control_.set_local_out(
+      [this](LocalIfaceIdx iface) {
+        MANGO_ASSERT(static_cast<bool>(local_reverse_),
+                     "no NA reverse handler on " + name_);
+        local_reverse_(iface);
+      },
+      reverse_fold_delay());
 
   // BE router outputs: 4 network stages + local NA + programming.
   for (PortIdx p = 0; p < kNumDirections; ++p) {
@@ -160,8 +153,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
                  BeRouter::OutputHooks{
                      [](BeVcIdx) { return true; },  // NA rx is unbounded
                      [this](Flit&& f) {
-                       if (cfg_.coalesce_handshakes &&
-                           local_be_delivery_timed_) {
+                       if (local_be_delivery_timed_) {
                          // Passive NA consumer: fold the wire hop.
                          const sim::Time at =
                              sim_.now() + delays_.na_link_fwd;
@@ -198,7 +190,7 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       ev.op = events::kOpLocalBeCredit;
       ev.a = vc;
       ev.p0 = this;
-      events::emit_after(sim_, delays_.be_credit_back, ev);
+      sim_.after_typed(delays_.be_credit_back, ev);
     }
   });
 }
@@ -250,11 +242,6 @@ void Router::receive_be_credit(PortIdx out_port, BeVcIdx vc) {
   be_out_[out_port].on_credit_return(vc);
 }
 
-void Router::inject_local_gs(LocalIfaceIdx iface, LinkFlit lf) {
-  MANGO_ASSERT(iface < cfg_.local_gs_ifaces, "bad local GS interface");
-  switching_.route(kLocalPort, lf);
-}
-
 bool Router::local_out_has_head(LocalIfaceIdx iface) const {
   return bufs_.at(kNumDirections * cfg_.vcs_per_port + iface)->has_head();
 }
@@ -284,7 +271,7 @@ void Router::update_gs_request(PortIdx port, VcIdx vc) {
   ev.a = port;
   ev.b = vc;
   ev.p0 = this;
-  events::emit_after(sim_, delays_.req_fwd, ev);
+  sim_.after_typed(delays_.req_fwd, ev);
 }
 
 void Router::recheck_gs_request(PortIdx port, VcIdx vc) {
@@ -325,37 +312,28 @@ void Router::on_gs_grant(PortIdx port, VcIdx vc) {
   MANGO_ASSERT(fb.can_admit(), "grant to a VC whose flow box cannot admit");
   fb.on_admit();
   Flit f = vc_buffer({port, vc}).pop();
-  if (cfg_.coalesce_handshakes) {
-    Link* bl = links_[port];
-    if (bl != nullptr && bl->is_boundary(this)) {
-      // Cross-shard port: the coalesced plan would resolve the peer's
-      // switching state from another shard mid-window. Fall back to the
-      // uncoalesced send; the link pushes a boundary handoff record.
-      const SteerBits steer = table_.forward({port, vc});
-      ++link_flits_sent_;
-      bl->send_flit(this, LinkFlit{steer, f});
-      update_gs_request(port, vc);
-      return;
-    }
-    const GsSendPlan& plan = send_plan(port, vc);
-    ++*plan.flit_counter;
+  Link* bl = links_[port];
+  if (bl != nullptr && bl->is_boundary(this)) {
+    // Cross-shard port: the cached plan would resolve the peer's
+    // switching state from another shard mid-window. The link pushes a
+    // boundary handoff record instead (two-event receive at the peer).
+    const SteerBits steer = table_.forward({port, vc});
     ++link_flits_sent_;
-    sim_.note_folded_hop_at(sim_.now() + plan.fwd);
-    sim::TypedEvent ev{};
-    ev.op = events::kOpGsDeliverPtr;
-    ev.p0 = plan.peer;
-    ev.p1 = plan.target;
-    events::store_flit(ev, f);
-    events::emit_after(sim_, plan.total_delay, ev);
+    bl->send_flit(this, LinkFlit{steer, f});
     update_gs_request(port, vc);
     return;
   }
-  const SteerBits steer = table_.forward({port, vc});  // throws if unset
-  Link* l = links_.at(port);
-  MANGO_ASSERT(l != nullptr, "GS flit granted onto unattached port " +
-                                 port_name(port) + " on " + name_);
+  // Link forward + downstream switch stage in one event.
+  const GsSendPlan& plan = send_plan(port, vc);
+  ++*plan.flit_counter;
   ++link_flits_sent_;
-  l->send_flit(this, LinkFlit{steer, f});
+  sim_.note_folded_hop_at(sim_.now() + plan.fwd);
+  sim::TypedEvent ev{};
+  ev.op = events::kOpGsDeliverPtr;
+  ev.p0 = plan.peer;
+  ev.p1 = plan.target;
+  events::store_flit(ev, f);
+  sim_.after_typed(plan.total_delay, ev);
   update_gs_request(port, vc);
 }
 

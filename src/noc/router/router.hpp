@@ -128,12 +128,7 @@ class Router {
   // The sender resolved the switching decision and charged the stage
   // delay into the event timestamp; these land the flit (or complete the
   // reverse handshake) directly and account the folded hop.
-  void deliver_gs_coalesced(VcBufferId target, Flit&& f) {
-    switching_.note_routed();
-    vc_buffer(target).accept_unshare(std::move(f));
-  }
-  /// Pointer-resolved variant for cached transfer plans: the sender
-  /// looked the buffer up once at plan-build time.
+  /// The sender looked the target buffer up once at plan-build time.
   void deliver_gs_coalesced(VcBuffer* target, Flit&& f) {
     switching_.note_routed();
     target->accept_unshare(std::move(f));
@@ -183,18 +178,10 @@ class Router {
       sim::InlineFunction<void(Flit&&, sim::Time at), 4>;
 
   // --- local (NA) side: GS injection ---
-  /// NA pushes a steered flit into the switching module via a local GS
-  /// input interface. The NA charges the local wire delay and obeys its
-  /// flow box; `iface` is recorded for diagnostics only.
-  void inject_local_gs(LocalIfaceIdx iface, LinkFlit lf);
-  /// First-hop reverse signals (to the NA's flow boxes).
+  /// First-hop reverse completion (wire + re-arm charged into the
+  /// event; the NA completes its flow box directly).
   void set_local_reverse_handler(LocalHook h) {
     local_reverse_ = std::move(h);
-  }
-  /// Coalesced first-hop reverse completion (wire + re-arm charged into
-  /// the event; the NA completes its flow box directly).
-  void set_local_reverse_complete_handler(LocalHook h) {
-    local_reverse_complete_ = std::move(h);
   }
 
   // --- local (NA) side: GS delivery ---
@@ -282,7 +269,6 @@ class Router {
   std::vector<GsSendPlan> send_plans_;
 
   LocalHook local_reverse_;
-  LocalHook local_reverse_complete_;
   LocalHook local_out_notify_;
   BeCreditHook local_be_credit_;
   BeDeliveryHook local_be_delivery_;

@@ -16,29 +16,18 @@ void VcControlModule::signal(VcBufferId buf) {
   const ReverseEntry entry = table_.reverse(buf);  // throws if unprogrammed
   ++signals_;
   if (entry.in_port == kLocalPort) {
-    if (local_complete_) {
-      // Coalesced: local wire + flow box re-arm in one event; the box
-      // completes directly at the analytically computed ready instant.
-      if (local_fold_ > 0) {
-        sim_.note_folded_hop_at(sim_.now() + delays_.na_link_fwd);
-      }
-      sim::TypedEvent ev{};
-      ev.op = events::kOpVcLocalReverse;
-      ev.a = static_cast<LocalIfaceIdx>(entry.wire);
-      ev.b = 1;
-      ev.p0 = this;
-      events::emit_after(sim_, delays_.na_link_fwd + local_fold_, ev);
-      return;
-    }
     MANGO_ASSERT(static_cast<bool>(local_out_), "no local reverse sink wired");
-    // The NA sits next to the router; charge the (shorter) local wire.
-    // The receiving flow box adds its own re-arm delay.
+    // The NA sits next to the router: local wire + flow box re-arm in
+    // one event; the box completes directly at the analytically
+    // computed ready instant.
+    if (local_fold_ > 0) {
+      sim_.note_folded_hop_at(sim_.now() + delays_.na_link_fwd);
+    }
     sim::TypedEvent ev{};
     ev.op = events::kOpVcLocalReverse;
     ev.a = static_cast<LocalIfaceIdx>(entry.wire);
-    ev.b = 0;
     ev.p0 = this;
-    events::emit_after(sim_, delays_.na_link_fwd, ev);
+    sim_.after_typed(delays_.na_link_fwd + local_fold_, ev);
     return;
   }
   MANGO_ASSERT(static_cast<bool>(network_out_), "no network reverse sink wired");

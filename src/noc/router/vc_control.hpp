@@ -29,20 +29,19 @@ class VcControlModule {
   /// the wire delay). Inline callback: unlock wires toggle once per flit.
   using NetworkOut = sim::InlineFunction<void(PortIdx in_port, VcIdx wire)>;
 
-  /// Reverse signal to the local NA (first hop of a connection).
+  /// Reverse signal to the local NA (first hop of a connection): the
+  /// NA's flow box completes its re-arm when this fires.
   using LocalOut = sim::InlineFunction<void(LocalIfaceIdx iface)>;
 
   VcControlModule(sim::Simulator& sim, const ConnectionTable& table,
                   const StageDelays& delays);
 
   void set_network_out(NetworkOut out) { network_out_ = std::move(out); }
-  void set_local_out(LocalOut out) { local_out_ = std::move(out); }
-
-  /// Arms the coalesced local reverse path: the wire event charges
-  /// `fold_delay` (the NA flow box's re-arm) on top of the local wire
-  /// and `out` completes the box directly — one event instead of two.
-  void set_local_complete(LocalOut out, sim::Time fold_delay) {
-    local_complete_ = std::move(out);
+  /// Local reverse path: the wire event charges `fold_delay` (the NA
+  /// flow box's re-arm) on top of the local wire and `out` completes the
+  /// box directly — one event instead of two.
+  void set_local_out(LocalOut out, sim::Time fold_delay) {
+    local_out_ = std::move(out);
     local_fold_ = fold_delay;
   }
 
@@ -55,14 +54,8 @@ class VcControlModule {
   std::uint64_t signals() const { return signals_; }
 
   /// Typed-dispatch entry: a local reverse wire toggles at the NA after
-  /// the wire delay (`complete` selects the coalesced box-ready path).
-  void deliver_local(LocalIfaceIdx iface, bool complete) {
-    if (complete) {
-      local_complete_(iface);
-    } else {
-      local_out_(iface);
-    }
-  }
+  /// the wire delay plus the folded re-arm.
+  void deliver_local(LocalIfaceIdx iface) { local_out_(iface); }
 
  private:
   sim::Simulator& sim_;
@@ -70,7 +63,6 @@ class VcControlModule {
   const StageDelays& delays_;
   NetworkOut network_out_;
   LocalOut local_out_;
-  LocalOut local_complete_;
   sim::Time local_fold_ = 0;
   std::uint64_t signals_ = 0;
 };

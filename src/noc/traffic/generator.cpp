@@ -64,7 +64,7 @@ void GsStreamSource::tick() {
   sim::TypedEvent ev{};
   ev.op = events::kOpGsSourceTick;
   ev.p0 = this;
-  events::emit_after(sim_, opt_.period_ps, ev);
+  sim_.after_typed(opt_.period_ps, ev);
 }
 
 BeTraceSource::BeTraceSource(Network& net, NodeId src, std::uint32_t tag,
@@ -172,7 +172,7 @@ void BeTrafficSource::inject() {
     sim::TypedEvent ev{};
     ev.op = events::kOpBeSourceInject;
     ev.p0 = this;
-    events::emit_at(sim_, phase_end_, ev);
+    sim_.at_typed(phase_end_, ev);
     return;
   }
   NetworkAdapter& na = net_.na(src_);
@@ -182,7 +182,7 @@ void BeTrafficSource::inject() {
     sim::TypedEvent ev{};
     ev.op = events::kOpBeSourceInject;
     ev.p0 = this;
-    events::emit_after(sim_, 1000, ev);
+    sim_.after_typed(1000, ev);
     return;
   }
   const NodeId dst = pick_dst();
@@ -211,7 +211,7 @@ void BeTrafficSource::schedule_next() {
   sim::TypedEvent ev{};
   ev.op = events::kOpBeSourceInject;
   ev.p0 = this;
-  events::emit_after(sim_, gap, ev);
+  sim_.after_typed(gap, ev);
 }
 
 }  // namespace mango::noc

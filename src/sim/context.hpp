@@ -1,21 +1,19 @@
 // SimContext: the per-simulation service bundle.
 //
-// One simulated network needs exactly one event kernel, one root RNG, one
-// stats registry and a logger. Before SimContext these traveled as ad-hoc
-// constructor arguments (every component took Simulator&, traffic sources
-// seeded their own RNGs, stats lived wherever a bench put them); now a
-// single context object is threaded through Network -> Router/NA/Link ->
-// traffic, and any component can reach every service from it. Two
-// SimContexts never share state — each owns its kernel, RNG, stats and
-// logger — so independent simulations can run side by side in one
-// process (A/B corners, differential tests). Only the MANGO_LOG macro
-// bypasses the context: it writes to the process-global
-// Logger::instance(), not to any context's logger.
+// One simulated network needs exactly one event kernel, one root RNG,
+// one stats registry and its object pools. Before SimContext these
+// traveled as ad-hoc constructor arguments (every component took
+// Simulator&, traffic sources seeded their own RNGs, stats lived wherever
+// a bench put them); now a single context object is threaded through
+// Network -> Router/NA/Link -> traffic, and any component can reach every
+// service from it. Two SimContexts never share state — each owns its
+// kernel, RNG, stats and pools, and the simulation layer has no
+// process-wide mutable state — so independent simulations can run side
+// by side in one process (sweep workers, A/B corners).
 #pragma once
 
 #include <cstdint>
 
-#include "sim/logging.hpp"
 #include "sim/pool.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -44,8 +42,6 @@ class SimContext {
   StatsRegistry& stats() { return stats_; }
   const StatsRegistry& stats() const { return stats_; }
 
-  Logger& log() { return log_; }
-
   /// Per-context object pools (packet/flit storage recycling). Resolve
   /// the typed pool once at wiring time: ctx.pools().vectors<Flit>().
   PoolRegistry& pools() { return pools_; }
@@ -62,7 +58,6 @@ class SimContext {
   Simulator sim_;
   Rng rng_;
   StatsRegistry stats_;
-  Logger log_;
   PoolRegistry pools_;
 };
 

@@ -224,12 +224,11 @@ class Simulator {
   /// peek-then-step sequence (run_until's loop) scans each bucket once.
   Time next_event_time();
 
-  /// Total events dispatched since construction. Includes handshake
-  /// hops folded into coalesced transfer events (note_folded_hop_at)
-  /// whose analytic time the clock has passed, so the figure measures
-  /// model activity, not scheduler invocations, and totals are
-  /// bit-identical to the unfolded chains — including runs cut off
-  /// mid-chain by run_until().
+  /// Total events since construction: dispatched events plus the
+  /// handshake hops folded into transfer events (note_folded_hop_at)
+  /// whose analytic time the clock has passed. The figure counts every
+  /// hop of the model's handshake chains, not scheduler invocations —
+  /// including runs cut off mid-chain by run_until().
   std::uint64_t events_dispatched() const {
     std::uint64_t n = dispatched_;
     for (const Time t : folds_) {
@@ -238,7 +237,7 @@ class Simulator {
     return n;
   }
 
-  /// Declares a handshake hop that a coalesced transfer event will
+  /// Declares a handshake hop that a folded transfer event will
   /// execute analytically at time `t` (the model layer folds fixed-delay
   /// event chains into one scheduled event). Amortized O(1): entries go
   /// into an unsorted ledger that is compacted against the clock when it

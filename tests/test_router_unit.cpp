@@ -85,7 +85,8 @@ TEST(RouterUnit, LocalGsInjectValidatesInterface) {
   sim::SimContext ctx;
   RouterConfig cfg;
   Router r(ctx, cfg, NodeId{0, 0}, "R");
-  EXPECT_THROW(r.inject_local_gs(4, LinkFlit{}), mango::ModelError);
+  NetworkAdapter na(r, "NA");
+  EXPECT_THROW(na.configure_gs_source(4, SteerBits{}), mango::ModelError);
 }
 
 TEST(RouterUnit, UnattachedPortGrantIsDetected) {

@@ -15,10 +15,10 @@
 namespace mango::sim {
 namespace {
 
-// One wheel bucket is 512 ps and the wheel spans 4096 buckets, so events
-// past ~2.1 us of the cursor take the overflow path. Derived here rather
-// than exported: the values are an implementation detail, the tests only
-// need "definitely beyond the horizon".
+// One wheel bucket is a 1-ps granule and the wheel spans 16384 of them,
+// so events past ~16.4 ns of the cursor take the overflow path. Derived
+// here rather than exported: the values are an implementation detail,
+// the tests only need "definitely beyond the horizon".
 constexpr Time kBeyondHorizon = 8 * 1000 * 1000;  // 8 us
 
 TEST(Scheduler, SameTimestampDispatchesInInsertionOrderAcrossBuckets) {
@@ -259,6 +259,74 @@ TEST(Scheduler, LargeCaptureSpillsToHeapAndStillRuns) {
   sim.at(10, [big, &seen] { seen = big.words[31]; });
   sim.run();
   EXPECT_EQ(seen, 42u);
+}
+
+// Typed records and callbacks share one dispatch key. The dispatcher is
+// a plain function pointer, so it logs through this file-scope hook.
+std::vector<std::uint32_t>* g_typed_log = nullptr;
+
+void log_typed(TypedEvent& ev) { g_typed_log->push_back(ev.d); }
+
+/// Schedules labels [first, first + 6) at time `t`, all born at now():
+/// at, after and admit, each once typed and once as a callback, with the
+/// kinds alternating (`typed_first` picks which kind leads) so that only
+/// the seq tie-break orders them.
+void schedule_mixed(Simulator& sim, Time t, std::uint32_t first,
+                    bool typed_first, std::vector<std::uint32_t>& log) {
+  for (std::uint32_t k = 0; k < 6; ++k) {
+    const std::uint32_t label = first + k;
+    const bool typed = (k % 2 == 0) == typed_first;
+    if (typed) {
+      TypedEvent ev{};
+      ev.op = 1;
+      ev.d = label;
+      if (k < 2) sim.at_typed(t, ev);
+      else if (k < 4) sim.after_typed(t - sim.now(), ev);
+      else sim.admit_typed(t, sim.now(), ev);
+    } else {
+      const auto cb = [&log, label] { log.push_back(label); };
+      if (k < 2) sim.at(t, cb);
+      else if (k < 4) sim.after(t - sim.now(), cb);
+      else sim.admit(t, sim.now(), cb);
+    }
+  }
+}
+
+TEST(Scheduler, TypedAndCallbackEventsDispatchInSeqOrderAtEqualKeys) {
+  std::vector<std::uint32_t> log;
+  g_typed_log = &log;
+  std::vector<std::uint32_t> want(12);
+  for (std::uint32_t i = 0; i < 12; ++i) want[i] = i;
+
+  // Wheel path.
+  Simulator wheel;
+  wheel.set_typed_dispatcher(&log_typed);
+  schedule_mixed(wheel, 1000, 0, /*typed_first=*/true, log);
+  schedule_mixed(wheel, 1000, 6, /*typed_first=*/false, log);
+  wheel.run();
+  EXPECT_EQ(log, want);
+
+  // Overflow heap, popped directly (the wheel is empty).
+  log.clear();
+  Simulator direct;
+  direct.set_typed_dispatcher(&log_typed);
+  schedule_mixed(direct, kBeyondHorizon, 0, true, log);
+  schedule_mixed(direct, kBeyondHorizon, 6, false, log);
+  direct.run();
+  EXPECT_EQ(log, want);
+
+  // Overflow heap, migrated into one wheel bucket behind an anchor.
+  log.clear();
+  Simulator migrated;
+  migrated.set_typed_dispatcher(&log_typed);
+  schedule_mixed(migrated, kBeyondHorizon, 0, true, log);
+  schedule_mixed(migrated, kBeyondHorizon, 6, false, log);
+  migrated.run_until(kBeyondHorizon - 1000);
+  migrated.after(50, [&log] { log.push_back(99); });
+  migrated.run();
+  want.insert(want.begin(), 99);
+  EXPECT_EQ(log, want);
+  g_typed_log = nullptr;
 }
 
 TEST(InlineFunctionTest, InlineCapturesDoNotAllocate) {

@@ -116,6 +116,26 @@ TEST(RunScenario, EveryTopologyDeliversTrafficAndMeetsGuarantees) {
   }
 }
 
+// A grid point naming a fabric that cannot exist (an irregular graph
+// needs two nodes) is a ModelError from expand(), which mango_sweep
+// reports as a usage error (exit 1) instead of aborting; a one-node mesh
+// is buildable and only fails when it runs.
+TEST(SweepGrid, UnbuildableFabricIsAModelErrorNotACrash) {
+  SweepGrid g;
+  g.topologies = {noc::TopologyKind::kGraph};
+  g.meshes = {{1, 1}};
+  try {
+    g.expand();
+    ADD_FAILURE() << "expand() accepted a one-node irregular graph";
+  } catch (const mango::ModelError& e) {
+    EXPECT_NE(std::string(e.what()).find("at least two nodes"),
+              std::string::npos)
+        << e.what();
+  }
+  g.topologies = {noc::TopologyKind::kMesh};
+  EXPECT_EQ(g.expand().size(), 1u);
+}
+
 // Node labels are 16-bit: a ring/graph fabric bigger than 65535 nodes
 // must be rejected, not silently truncated to a wrong-size fabric.
 TEST(RunScenario, OversizedRingFabricIsRejectedNotTruncated) {

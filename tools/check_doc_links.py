@@ -3,10 +3,11 @@
 
 Greps README.md and DESIGN.md for the artifacts they point readers at —
 preset names (``--preset NAME``), mango_sweep CLI flags (``--flag``),
-benchmark binaries (``bench_*``), test suites (``test_*``) and tracked
-benchmark histories (``BENCH_*.json``) — and verifies each one against
-ground truth: ``mango_sweep --list-presets`` / ``--help`` output and the
-bench/ and tests/ source trees.  Exits nonzero listing every dangling
+benchmark binaries (``bench_*``), test suites (``test_*``), tracked
+benchmark histories (``BENCH_*.json``) and backticked repo paths under
+src/, tests/, bench/, tools/ and examples/ — and verifies each one
+against ground truth: ``mango_sweep --list-presets`` / ``--help`` output
+and the source tree.  Exits nonzero listing every dangling
 reference, so CI fails when a rename or removal leaves the docs behind.
 
 Usage: check_doc_links.py [--sweep-bin PATH] [--repo PATH]
@@ -48,6 +49,47 @@ REQUIRED_DOCUMENTED_FLAGS = {
     "--no-plan-cache",
     "--build-threads",
 }
+
+# Backticked repo paths: `src/...`, `tests/...` and so on.  A path ends
+# at whitespace or the closing backtick.
+PATH_RE = re.compile(r"`((?:src|tests|bench|tools|examples)/[^`\s]*)")
+
+
+def expand_braces(path):
+    """`a.{hpp,cpp}` -> [`a.hpp`, `a.cpp`] (every group, recursively)."""
+    m = re.search(r"\{([^{}]*)\}", path)
+    if not m:
+        return [path]
+    out = []
+    for alt in m.group(1).split(","):
+        out += expand_braces(path[:m.start()] + alt + path[m.end():])
+    return out
+
+
+def path_exists(repo, path):
+    """A `:line` suffix is ignored, `<name>` placeholders and `*` match
+    any name, and a trailing `/` requires a directory."""
+    path = re.sub(r"<[^>]*>", "*", path.split(":")[0])
+    if "*" in path:
+        return any(repo.glob(path.rstrip("/")))
+    if path.endswith("/"):
+        return (repo / path).is_dir()
+    return (repo / path).exists()
+
+
+def check_paths(path, repo):
+    """Returns (errors, number of paths checked) for one doc."""
+    text = path.read_text()
+    errors, checked = [], 0
+    for token in sorted(set(PATH_RE.findall(text))):
+        for p in expand_braces(token):
+            checked += 1
+            if not path_exists(repo, p):
+                line = next(i for i, l in enumerate(text.splitlines(), 1)
+                            if token in l)
+                errors.append(f"{path.name}:{line}: path `{p}` does not "
+                              "exist")
+    return errors, checked
 
 
 def run(cmd):
@@ -147,9 +189,13 @@ def main():
         return 2
 
     errors = []
+    paths_checked = 0
     for doc in DOC_FILES:
         errors += check_doc(repo / doc, presets, flags, benches, tests,
                             bench_json)
+        path_errors, checked = check_paths(repo / doc, repo)
+        errors += path_errors
+        paths_checked += checked
 
     readme_flags = set(re.findall(r"--[a-z][a-z0-9-]*",
                                   (repo / "README.md").read_text()))
@@ -167,7 +213,8 @@ def main():
         checked = ", ".join(DOC_FILES)
         print(f"doc cross-links ok ({checked}: {len(presets)} presets, "
               f"{len(flags)} flags, {len(benches)} benches, "
-              f"{len(tests)} test suites on record)")
+              f"{len(tests)} test suites on record; {paths_checked} repo "
+              "paths resolve)")
     return 1 if errors else 0
 
 

@@ -461,7 +461,14 @@ int main(int argc, char** argv) {
     if (set_per_record) grid.base.batched_handoff = base.batched_handoff;
   }
 
-  std::vector<exp::ScenarioSpec> specs = grid.expand();
+  std::vector<exp::ScenarioSpec> specs;
+  try {
+    specs = grid.expand();
+  } catch (const ModelError& e) {
+    // A grid point names a fabric that cannot exist (e.g. an irregular
+    // graph of one node): a usage error, like a malformed --mesh.
+    die(std::string("bad scenario grid: ") + e.what());
+  }
   if (!filter.empty()) {
     std::vector<exp::ScenarioSpec> kept;
     for (exp::ScenarioSpec& s : specs) {
