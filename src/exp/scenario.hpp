@@ -64,15 +64,16 @@ struct ScenarioSpec {
   std::uint64_t seed = 1;
 
   /// Worker shards the fabric is partitioned across (NetworkConfig::
-  /// shards; clamped to the node count). Stats are byte-identical for
-  /// every value — sharding is an execution strategy, not a model
-  /// parameter — so it is deliberately excluded from the scenario name
-  /// and the report's spec section.
+  /// shards; clamped to the node count). Sharding is an execution
+  /// strategy, not a model parameter, so it is deliberately excluded
+  /// from the scenario name and the report's spec section; shards = 1
+  /// is the reference, and other counts do not yet reproduce its stats
+  /// on every spec (DESIGN.md section 8).
   unsigned shards = 1;
   /// Shard-engine tuning (NetworkConfig equivalents; shards >= 2 only).
-  /// Execution strategy like `shards`: stats are byte-identical for
-  /// every combination, so these too stay out of the scenario name and
-  /// the report's spec section — only the timing block surfaces them.
+  /// Execution strategy like `shards`, so these too stay out of the
+  /// scenario name and the report's spec section — only the timing
+  /// block surfaces them.
   bool elide_windows = true;
   bool batched_handoff = true;
   std::uint32_t spin_us = sim::kDefaultBarrierSpinUs;

@@ -29,8 +29,8 @@ struct SweepReport {
   unsigned repeat = 1;  ///< runs per scenario (wall_ms keeps the best)
   /// Largest effective per-scenario shard count this sweep ran with
   /// (after the jobs x shards oversubscription clamp). Timing-section
-  /// only: shards never change simulation stats, so stats_json() stays
-  /// byte-identical across shard counts.
+  /// only, like every execution-strategy knob (shards 1 is the stats
+  /// reference; DESIGN.md section 8).
   unsigned shards = 1;
   double wall_ms = 0.0;
   /// Fabric-plan amortization diagnostics (timing-section only, like
@@ -75,9 +75,9 @@ struct SweepReport {
 unsigned effective_shards(unsigned jobs, unsigned shards,
                           unsigned hardware_threads);
 
-/// Execution-strategy knobs of one sweep invocation — like --shards,
-/// these move wall time only: per-scenario stats (and stats_json) are
-/// byte-identical for every combination.
+/// Execution-strategy knobs of one sweep invocation: these move wall
+/// time only — per-scenario stats (and stats_json) are byte-identical
+/// for every combination.
 struct SweepOptions {
   /// Share one FabricPlan across scenarios on the same fabric (the
   /// default); false (--no-plan-cache) rebuilds per scenario — the

@@ -1,10 +1,8 @@
 #include "noc/common/events.hpp"
 
 #include "noc/na/network_adapter.hpp"
-#include "noc/router/arbiter.hpp"
 #include "noc/router/be_router.hpp"
 #include "noc/router/router.hpp"
-#include "noc/router/switching.hpp"
 #include "noc/router/vc_buffer.hpp"
 #include "noc/router/vc_control.hpp"
 #include "noc/traffic/generator.hpp"
@@ -42,24 +40,22 @@ void dispatch_event(sim::TypedEvent& ev) {
       return;
     }
     case kOpArbRearm:
-      static_cast<LinkArbiter*>(ev.p0)->complete_cycle();
+      static_cast<Router*>(ev.p0)->complete_arb_cycle(
+          static_cast<PortIdx>(ev.a));
       return;
     case kOpVcAdvance:
       static_cast<VcBuffer*>(ev.p0)->complete_advance();
       return;
-    case kOpSwitchGs: {
-      Flit f = load_flit(ev);
-      static_cast<SwitchingModule*>(ev.p0)->deliver_gs(
-          VcBufferId{static_cast<PortIdx>(ev.a), static_cast<VcIdx>(ev.b)},
-          std::move(f));
+    case kOpSwitchGs:
+      static_cast<Router*>(ev.p0)
+          ->vc_buffer(VcBufferId{static_cast<PortIdx>(ev.a),
+                                 static_cast<VcIdx>(ev.b)})
+          .accept_unshare(load_flit(ev));
       return;
-    }
-    case kOpSwitchBe: {
-      Flit f = load_flit(ev);
-      static_cast<SwitchingModule*>(ev.p0)->deliver_be(
-          static_cast<PortIdx>(ev.a), std::move(f));
+    case kOpSwitchBe:
+      static_cast<BeRouter*>(ev.p0)->push_input(static_cast<PortIdx>(ev.a),
+                                                load_flit(ev));
       return;
-    }
     case kOpGsReqRecheck:
       static_cast<Router*>(ev.p0)->recheck_gs_request(
           static_cast<PortIdx>(ev.a), static_cast<VcIdx>(ev.b));

@@ -31,10 +31,10 @@ enum Op : std::uint8_t {
   kOpReverseDone,     ///< p0=Router*, a=out_port, b=wire (coalesced)
   kOpBeCredit,        ///< p0=Router*, a=out_port, b=be_vc
   kOpBeRouteDone,     ///< p0=BeRouter*, a=out; payload Flit
-  kOpArbRearm,        ///< p0=LinkArbiter*
+  kOpArbRearm,        ///< p0=Router*, a=port
   kOpVcAdvance,       ///< p0=VcBuffer*
-  kOpSwitchGs,        ///< p0=SwitchingModule*, a=port, b=vc; payload Flit
-  kOpSwitchBe,        ///< p0=SwitchingModule*, a=in_port; payload Flit
+  kOpSwitchGs,        ///< p0=Router*, a=port, b=vc; payload Flit
+  kOpSwitchBe,        ///< p0=BeRouter*, a=in_port; payload Flit
   kOpGsReqRecheck,    ///< p0=Router*, a=port, b=vc
   kOpLocalBeCredit,   ///< p0=Router*, a=be_vc
   kOpNaGsRecover,     ///< p0=NetworkAdapter*, a=iface

@@ -23,14 +23,25 @@ Link::Link(Endpoint a, Endpoint b, unsigned pipeline_stages,
   sims_[1] = &b_.router->ctx().sim();
   MANGO_ASSERT(a_.router != b_.router, "self-links are not supported");
   MANGO_ASSERT(stages_ >= 1, "a link has at least one wire segment");
+  const StageDelays& d = a_.router->delays();
   if (signaling_ == LinkSignaling::kBundledData) {
     // Bundled data assumes delay-matched wires; a link whose skew
     // exceeds the margin cannot close timing (Section 6: the links "are
     // much longer, and thus more sensitive to timing variations").
-    MANGO_ASSERT(skew_ <= a_.router->delays().bundling_margin,
+    MANGO_ASSERT(skew_ <= d.bundling_margin,
                  "bundled-data link skew exceeds the timing margin — use "
                  "1-of-4 delay-insensitive signaling");
   }
+  sim::Time per_stage = d.link_fwd;
+  if (signaling_ == LinkSignaling::kOneOfFour) {
+    // Wait for the slowest wire, then detect completion.
+    per_stage += skew_ + d.di_completion;
+  }
+  forward_ = d.merge_fwd + static_cast<sim::Time>(stages_) * per_stage;
+  reverse_ = static_cast<sim::Time>(stages_) * d.unlock_back;
+  be_credit_ = static_cast<sim::Time>(stages_) * d.be_credit_back;
+  reverse_rearm_[0] = b_.router->reverse_fold_delay();
+  reverse_rearm_[1] = a_.router->reverse_fold_delay();
   events::install(*sims_[0]);
   events::install(*sims_[1]);
   a_.router->attach_link(a_.port, this);
@@ -61,25 +72,10 @@ void Link::push_boundary(unsigned dir, BoundaryKind kind, VcIdx wire,
   boundary_[dir]->push(rec);
 }
 
-sim::Time Link::forward_latency() const {
-  const StageDelays& d = a_.router->delays();
-  sim::Time per_stage = d.link_fwd;
-  if (signaling_ == LinkSignaling::kOneOfFour) {
-    // Wait for the slowest wire, then detect completion.
-    per_stage += skew_ + d.di_completion;
-  }
-  return d.merge_fwd + static_cast<sim::Time>(stages_) * per_stage;
-}
-
 unsigned Link::wires_per_direction() const {
   const unsigned vcs = a_.router->config().vcs_per_port;
   // forward data wires + ack + V unlock wires + 1 BE credit wire.
   return link_forward_wires(signaling_) + 1 + vcs + 1;
-}
-
-sim::Time Link::reverse_latency() const {
-  const StageDelays& d = a_.router->delays();
-  return static_cast<sim::Time>(stages_) * d.unlock_back;
 }
 
 void Link::send_flit(const Router* from, LinkFlit lf) {
@@ -89,7 +85,7 @@ void Link::send_flit(const Router* from, LinkFlit lf) {
   ++flits_carried_[dir];
   // Cross-shard: hand off for barrier admission; the destination runs
   // the plain two-event receive (no peer state is read here).
-  push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_latency());
+  push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_);
 }
 
 void Link::send_be_flit(const Router* from, LinkFlit lf) {
@@ -97,7 +93,7 @@ void Link::send_be_flit(const Router* from, LinkFlit lf) {
   const Endpoint& peer = dir == 0 ? b_ : a_;
   ++flits_carried_[dir];
   if (boundary_[dir] != nullptr) {
-    push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_latency());
+    push_boundary(dir, BoundaryKind::kFlit, 0, lf, forward_);
     return;
   }
   sim::TypedEvent ev{};
@@ -105,42 +101,34 @@ void Link::send_be_flit(const Router* from, LinkFlit lf) {
   ev.a = peer.port;
   ev.p0 = peer.router;
   events::store_link_flit(ev, lf);
-  sims_[dir]->after_typed(forward_latency(), ev);
+  sims_[dir]->after_typed(forward_, ev);
 }
 
 void Link::send_reverse(const Router* from, VcIdx wire) {
   const unsigned dir = dir_of(from);
   const Endpoint& peer = dir == 0 ? b_ : a_;
   if (boundary_[dir] != nullptr) {
-    push_boundary(dir, BoundaryKind::kReverse, wire, LinkFlit{},
-                  reverse_latency());
+    push_boundary(dir, BoundaryKind::kReverse, wire, LinkFlit{}, reverse_);
     return;
   }
   sim::Simulator& sim_ = *sims_[dir];
   // Fold the flow box's re-arm delay (0 for credit boxes) into the wire
   // event: one scheduled event from unlock toggle to box-ready.
-  const sim::Time rearm = peer.router->reverse_fold_delay();
-  const sim::Time rev = reverse_latency();
-  if (rearm > 0) sim_.note_folded_hop_at(sim_.now() + rev);
+  const sim::Time rearm = reverse_rearm_[dir];
+  if (rearm > 0) sim_.note_folded_hop_at(sim_.now() + reverse_);
   sim::TypedEvent ev{};
   ev.op = events::kOpReverseDone;
   ev.a = peer.port;
   ev.b = wire;
   ev.p0 = peer.router;
-  sim_.after_typed(rev + rearm, ev);
-}
-
-sim::Time Link::be_credit_latency() const {
-  const StageDelays& d = a_.router->delays();
-  return static_cast<sim::Time>(stages_) * d.be_credit_back;
+  sim_.after_typed(reverse_ + rearm, ev);
 }
 
 void Link::send_be_credit(const Router* from, BeVcIdx vc) {
   const unsigned dir = dir_of(from);
   const Endpoint& peer = dir == 0 ? b_ : a_;
   if (boundary_[dir] != nullptr) {
-    push_boundary(dir, BoundaryKind::kBeCredit, vc, LinkFlit{},
-                  be_credit_latency());
+    push_boundary(dir, BoundaryKind::kBeCredit, vc, LinkFlit{}, be_credit_);
     return;
   }
   sim::TypedEvent ev{};
@@ -148,7 +136,7 @@ void Link::send_be_credit(const Router* from, BeVcIdx vc) {
   ev.a = peer.port;
   ev.b = vc;
   ev.p0 = peer.router;
-  sims_[dir]->after_typed(be_credit_latency(), ev);
+  sims_[dir]->after_typed(be_credit_, ev);
 }
 
 }  // namespace mango::noc

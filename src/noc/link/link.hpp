@@ -103,7 +103,7 @@ class Link {
   }
 
   /// BE credit-wire latency (stages * credit-wire delay).
-  sim::Time be_credit_latency() const;
+  sim::Time be_credit_latency() const { return be_credit_; }
 
   /// First endpoint as constructed (diagnostics/reports identify a link
   /// by this side).
@@ -111,9 +111,9 @@ class Link {
 
   /// Forward latency of this link (merge + stages * wire, plus skew and
   /// completion detection for 1-of-4).
-  sim::Time forward_latency() const;
+  sim::Time forward_latency() const { return forward_; }
   /// Reverse-wire latency of this link.
-  sim::Time reverse_latency() const;
+  sim::Time reverse_latency() const { return reverse_; }
 
   /// Total wires of one direction of this link (data + ack + V unlock
   /// wires + BE credit), for area/wiring studies.
@@ -131,6 +131,14 @@ class Link {
   unsigned stages_;
   LinkSignaling signaling_;
   sim::Time skew_;
+  // Latencies, fixed at construction (the stage delays of endpoint a's
+  // corner, whichever side sends).
+  sim::Time forward_ = 0;
+  sim::Time reverse_ = 0;
+  sim::Time be_credit_ = 0;
+  /// Per direction: the receiving flow box's re-arm delay folded into
+  /// the reverse-wire event (0 for credit-based boxes).
+  sim::Time reverse_rearm_[2] = {0, 0};
   BoundaryChannel* boundary_[2] = {nullptr, nullptr};  ///< a->b, b->a
   std::uint64_t flits_carried_[2] = {0, 0};            ///< a->b, b->a
 };

@@ -107,6 +107,9 @@ class NetworkAdapter {
     wire_be_delivery();
   }
   std::size_t be_queue_flits() const;
+  /// Free slots the NA believes the router's local BE input (VC `vc`)
+  /// has: be_buffer_depth when nothing is in flight.
+  unsigned be_credits(BeVcIdx vc = 0) const { return be_lanes_.at(vc).credits; }
   std::uint64_t be_packets_sent() const { return be_packets_sent_; }
   std::uint64_t be_packets_received() const { return be_packets_received_; }
 

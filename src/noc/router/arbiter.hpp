@@ -21,7 +21,9 @@
 //
 // Timing: a grant occupies the link-output stage for `arb_cycle` ps; the
 // reciprocal of arb_cycle is the paper's per-port speed (515 MHz worst
-// case).
+// case). The arbiter is the decision unit only: its owning Router raises
+// the request lines, delivers each grant to the granted VC buffer or BE
+// output stage by a direct call, and schedules the stage's recovery.
 #pragma once
 
 #include <cstdint>
@@ -31,34 +33,45 @@
 #include "noc/common/config.hpp"
 #include "noc/common/ids.hpp"
 #include "sim/assert.hpp"
-#include "sim/callback.hpp"
-#include "sim/simulator.hpp"
 
 namespace mango::noc {
 
 class LinkArbiter {
  public:
-  /// Inline-capture grant sinks: one indirect call per granted flit.
-  using GrantGs = sim::InlineFunction<void(VcIdx)>;
-  using GrantBe = sim::InlineFunction<void()>;
-
-  LinkArbiter(sim::Simulator& sim, const RouterConfig& cfg,
-              const StageDelays& delays, std::string name);
-
-  void set_grant_gs(GrantGs g) { grant_gs_ = std::move(g); }
-  void set_grant_be(GrantBe g) { grant_be_ = std::move(g); }
+  LinkArbiter(const RouterConfig& cfg, std::string name);
 
   /// Idempotent request-line updates. A VC requests while it has a head
-  /// flit and its flow-control box admits; the router glue keeps these
-  /// lines in sync with that condition.
-  void set_request_gs(VcIdx vc, bool requesting);
-  void set_request_be(bool requesting);
+  /// flit and its flow-control box admits; the router keeps these lines
+  /// in sync with that condition. Returns true when the line was just
+  /// raised: the owner then attempts a grant.
+  bool set_request_gs(VcIdx vc, bool requesting) {
+    MANGO_ASSERT(vc < vcs_, "request for nonexistent VC on " + name_);
+    const std::uint32_t bit = 1u << vc;
+    if (((gs_mask_ & bit) != 0) == requesting) return false;
+    gs_mask_ ^= bit;
+    return requesting;
+  }
+  bool set_request_be(bool requesting) {
+    if (be_req_ == requesting) return false;
+    be_req_ = requesting;
+    return requesting;
+  }
 
   bool request_gs(VcIdx vc) const {
     MANGO_ASSERT(vc < vcs_, "request query for nonexistent VC on " + name_);
     return ((gs_mask_ >> vc) & 1u) != 0;
   }
   bool request_be() const { return be_req_; }
+
+  /// Grants the link-output stage: the granted GS VC, vcs() for BE, or
+  /// -1 when the stage is busy or nothing is eligible. A grant holds the
+  /// stage until complete_cycle() (the owner schedules that one
+  /// arbitration cycle later).
+  int grant();
+  /// The link-output stage recovered; the owner re-attempts a grant.
+  void complete_cycle() { busy_ = false; }
+
+  unsigned vcs() const { return vcs_; }
 
   /// Grant counters (fairness measurements).
   std::uint64_t grants_gs(VcIdx vc) const { return gs_grants_.at(vc); }
@@ -67,20 +80,12 @@ class LinkArbiter {
 
   const std::string& name() const { return name_; }
 
-  /// Typed-dispatch entry: the link-output stage recovers after one
-  /// arbitration cycle and the ring re-evaluates.
-  void complete_cycle();
-
  private:
-  void try_grant();
   /// Returns the granted GS VC, or V for BE, or -1 if nothing eligible.
   int pick() const;
 
-  sim::Simulator& sim_;
   ArbiterKind kind_;
   BePolicy be_policy_;
-  sim::Time arb_cycle_;
-  std::string name_;
   unsigned vcs_;
   /// Raised GS request lines, one bit per VC (V <= 8): the grant scan is
   /// a rotate + count-trailing-zeros instead of a per-slot loop.
@@ -88,11 +93,10 @@ class LinkArbiter {
   bool be_req_ = false;
   bool busy_ = false;
   unsigned rr_next_ = 0;  ///< fair-share: next ring position (0..V = BE slot)
-  GrantGs grant_gs_;
-  GrantBe grant_be_;
-  std::vector<std::uint64_t> gs_grants_;
   std::uint64_t be_grants_ = 0;
   std::uint64_t total_grants_ = 0;
+  std::vector<std::uint64_t> gs_grants_;
+  std::string name_;
 };
 
 }  // namespace mango::noc

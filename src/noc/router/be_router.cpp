@@ -3,67 +3,33 @@
 #include "noc/common/events.hpp"
 #include "noc/common/route.hpp"
 #include "noc/network/routing.hpp"
+#include "noc/router/router.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::noc {
 
-void BeInputBuffer::push(Flit f) {
-  MANGO_ASSERT(fifo_.size() < capacity_,
-               "BE input buffer overflow at " + name_ +
-                   " — upstream violated credit flow control");
-  const bool was_empty = fifo_.empty();
-  fifo_.push_back(f);
-  ++flits_through_;
-  if (was_empty && on_head_) on_head_();
-}
-
-const Flit& BeInputBuffer::head() const {
-  MANGO_ASSERT(!fifo_.empty(), "head() on empty BE buffer " + name_);
-  return fifo_.front();
-}
-
-Flit BeInputBuffer::pop() {
-  MANGO_ASSERT(!fifo_.empty(), "pop() on empty BE buffer " + name_);
-  Flit f = fifo_.front();
-  fifo_.pop_front();
-  if (on_credit_return_) on_credit_return_();
-  if (!fifo_.empty() && on_head_) on_head_();
-  return f;
-}
-
-BeRouter::BeRouter(sim::SimContext& ctx, const RouterConfig& cfg,
-                   const StageDelays& delays, std::string name)
-    : sim_(ctx.sim()), delays_(delays), name_(std::move(name)),
+BeRouter::BeRouter(Router& owner, const RouterConfig& cfg,
+                   const StageDelays& delays)
+    : router_(owner),
+      sim_(owner.ctx().sim()),
+      delays_(delays),
       be_vcs_(cfg.be_vcs) {
   events::install(sim_);
   MANGO_ASSERT(be_vcs_ >= 1 && be_vcs_ <= kMaxBeVcs,
                "the single header bit supports 1 or 2 BE VCs");
+}
+
+void BeRouter::bind_inputs(Flit* slots, unsigned depth) {
   for (PortIdx p = 0; p < kNumPorts; ++p) {
     for (BeVcIdx vc = 0; vc < be_vcs_; ++vc) {
-      inputs_[p].emplace_back(cfg.be_buffer_depth,
-                              name_ + ".be" + port_name(p) + ".vc" +
-                                  std::to_string(vc));
-      inputs_[p].back().set_on_head([this, p, vc] { on_input_head(p, vc); });
+      inputs_[p][vc].bind(slots, depth);
+      slots += depth;
     }
   }
 }
 
-void BeRouter::set_output(unsigned out, OutputHooks hooks) {
-  MANGO_ASSERT(out < kNumOutputs, "BE output index out of range");
-  MANGO_ASSERT(static_cast<bool>(hooks.ready) && static_cast<bool>(hooks.push),
-               "BE output hooks incomplete");
-  outputs_[out] = std::move(hooks);
-}
-
-void BeRouter::set_credit_return(PortIdx in,
-                                 sim::InlineFunction<void(BeVcIdx)> cb) {
-  // The callback is shared by this port's per-VC buffers; move it into a
-  // shared slot the per-VC notifies reference.
-  credit_cbs_[in] = std::move(cb);
-  for (BeVcIdx vc = 0; vc < be_vcs_; ++vc) {
-    inputs_.at(in)[vc].set_on_credit_return(
-        [this, in, vc] { credit_cbs_[in](vc); });
-  }
+std::string BeRouter::buffer_name(PortIdx in, BeVcIdx vc) const {
+  return router_.name() + ".be" + port_name(in) + ".vc" + std::to_string(vc);
 }
 
 void BeRouter::push_input(PortIdx in, Flit&& f) {
@@ -71,7 +37,13 @@ void BeRouter::push_input(PortIdx in, Flit&& f) {
   MANGO_ASSERT(vc < be_vcs_,
                "flit selects BE VC " + std::to_string(vc) +
                    " but the router has " + std::to_string(be_vcs_));
-  inputs_.at(in)[vc].push(f);
+  BeInputBuffer& buf = inputs_[in][vc];
+  MANGO_ASSERT(!buf.full(), "BE input buffer overflow at " +
+                                buffer_name(in, vc) +
+                                " — upstream violated credit flow control");
+  const bool was_empty = buf.empty();
+  buf.push_back(f);
+  if (was_empty) on_input_head(in, vc);
 }
 
 void BeRouter::set_vc_classes(const std::array<bool, kNumDirections>& dateline) {
@@ -99,12 +71,17 @@ BeVcIdx BeRouter::out_vc_class(PortIdx in, unsigned out, BeVcIdx cur) const {
 
 void BeRouter::notify_output_ready(unsigned out) { try_route(out); }
 
+bool BeRouter::output_ready(unsigned out, BeVcIdx vc) const {
+  return out >= kNumDirections ||
+         router_.be_output(static_cast<PortIdx>(out)).ready(vc);
+}
+
 unsigned BeRouter::decode_target(PortIdx in, const Flit& head) const {
   if (head.thdr) {
     // Table-routed header: the word names the destination's dense node
     // index; the route lives in the shared RouteTable, not the header.
     MANGO_ASSERT(route_table_ != nullptr,
-                 "table-routed (THDR) header at " + name_ +
+                 "table-routed (THDR) header at " + router_.name() +
                      " but table routing is not armed on this fabric");
     const std::size_t dst = table_header_dst(head.data);
     if (dst == self_idx_) {
@@ -146,21 +123,20 @@ void BeRouter::clear_req(PortIdx in, BeVcIdx vc) {
 
 void BeRouter::on_input_head(PortIdx in, BeVcIdx vc) {
   InputState& st = in_state_[in][vc];
-  if (!st.target.has_value()) {
+  if (st.target == kNoReg) {
     MANGO_ASSERT(st.awaiting_header,
                  "BE input " + port_name(in) + " lost its packet target");
-    st.target = decode_target(in, inputs_[in][vc].head());
+    st.target =
+        static_cast<std::uint8_t>(decode_target(in, inputs_[in][vc].front()));
   }
-  register_req(in, vc, *st.target);
-  try_route(*st.target);
+  register_req(in, vc, st.target);
+  try_route(st.target);
 }
 
 void BeRouter::try_route(unsigned out) {
   MANGO_ASSERT(out < kNumOutputs, "try_route: bad output");
   OutputState& ost = out_state_[out];
   if (ost.busy) return;
-  MANGO_ASSERT(static_cast<bool>(outputs_[out].ready),
-               "BE output " + std::to_string(out) + " not wired on " + name_);
 
   // Fair (round-robin) arbitration over (input port, BE VC) pairs. A VC
   // lane locked by a packet admits only that packet's input; the other
@@ -188,7 +164,7 @@ void BeRouter::try_route(unsigned out) {
     if (lock.has_value() && *lock != std::make_pair(cand_in, cand_vc)) {
       continue;  // lane held by another packet
     }
-    if (!outputs_[out].ready(cand_ovc)) continue;  // stage full
+    if (!output_ready(out, cand_ovc)) continue;  // stage full
     in = cand_in;
     vc = cand_vc;
     ovc = cand_ovc;
@@ -200,13 +176,16 @@ void BeRouter::try_route(unsigned out) {
   }
   if (in == kNumPorts) return;
 
-  // Claim the routing cycle before popping: pop() can re-enter try_route
-  // via the input's head callback.
   ost.busy = true;
 
+  // Free the input slot; its credit goes back upstream at once. A flit
+  // left behind belongs to this packet (already registered here) or is
+  // the next packet's header (decoded at EOP below).
   InputState& ist = in_state_[in][vc];
-  Flit f = inputs_[in][vc].pop();
-  if (!inputs_[in][vc].has_head()) clear_req(in, vc);
+  BeInputBuffer& buf = inputs_[in][vc];
+  Flit f = buf.pop_front();
+  router_.return_be_credit(in, vc);
+  if (buf.empty()) clear_req(in, vc);
   if (ist.awaiting_header) {
     if (f.thdr) {
       // Table scheme: the header word is not consumed — only the
@@ -238,13 +217,12 @@ void BeRouter::try_route(unsigned out) {
   if (eop) {
     ++packets_routed_;
     ist.awaiting_header = true;
-    ist.target.reset();
+    ist.target = kNoReg;
     clear_req(in, vc);
     ost.locked[ovc].reset();
-    // The next packet's header may already sit at the input head; its
-    // head callback fired while our stale target was still set, so
-    // re-decode explicitly.
-    if (inputs_[in][vc].has_head()) on_input_head(in, vc);
+    // The next packet's header may already sit at the input head:
+    // decode it now that the stale target is gone.
+    if (!buf.empty()) on_input_head(in, vc);
   }
   sim::TypedEvent ev{};
   ev.op = events::kOpBeRouteDone;
@@ -255,11 +233,15 @@ void BeRouter::try_route(unsigned out) {
 }
 
 void BeRouter::complete_route_cycle(unsigned out, Flit&& f) {
-  outputs_[out].push(std::move(f));
+  if (out < kNumDirections) {
+    router_.be_output(static_cast<PortIdx>(out)).push(std::move(f));
+  } else if (out == kOutLocalNa) {
+    router_.deliver_local_be(std::move(f));
+  } else {
+    router_.programming().accept_flit(std::move(f));
+  }
   out_state_[out].busy = false;
   try_route(out);
-  // The freed input slot may unblock a packet bound elsewhere; input
-  // head callbacks handle that on their own.
 }
 
 }  // namespace mango::noc

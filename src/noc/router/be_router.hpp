@@ -23,60 +23,32 @@
 //
 // The BE router hands flits bound for the network to per-port BE output
 // stages owned by the Router, which merge them onto the links through
-// the link arbiters.
+// the link arbiters. Its wiring is fixed: outputs, local delivery and
+// credit returns are direct calls into the owning Router, and its input
+// rings sit in flit storage the Router sizes from RouterConfig.
 #pragma once
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "noc/common/config.hpp"
 #include "noc/common/flit.hpp"
 #include "noc/common/ids.hpp"
 #include "noc/common/packet.hpp"
-#include "sim/callback.hpp"
-#include "sim/context.hpp"
 #include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 
 namespace mango::noc {
 
 class RouteTable;  // noc/network/routing.hpp
+class Router;
 
-/// Credit-controlled BE input FIFO (one per input port per BE VC).
-class BeInputBuffer {
- public:
-  using Notify = sim::InlineCallback;
-
-  BeInputBuffer(unsigned capacity, std::string name)
-      : capacity_(capacity), name_(std::move(name)) {}
-
-  void set_on_credit_return(Notify n) { on_credit_return_ = std::move(n); }
-  void set_on_head(Notify n) { on_head_ = std::move(n); }
-
-  /// Pushes a flit; overflow means the upstream violated credit flow
-  /// control and raises ModelError.
-  void push(Flit f);
-
-  bool has_head() const { return !fifo_.empty(); }
-  const Flit& head() const;
-  Flit pop();  ///< fires the credit-return callback
-
-  unsigned capacity() const { return capacity_; }
-  std::size_t size() const { return fifo_.size(); }
-  std::uint64_t flits_through() const { return flits_through_; }
-
- private:
-  unsigned capacity_;
-  std::string name_;
-  sim::FifoRing<Flit> fifo_;
-  Notify on_credit_return_;
-  Notify on_head_;
-  std::uint64_t flits_through_ = 0;
-};
+/// Credit-controlled BE input FIFO (one per input port per BE VC): a
+/// fixed ring of be_buffer_depth slots in the owning Router's storage.
+using BeInputBuffer = sim::FixedRing<Flit>;
 
 class BeRouter {
  public:
@@ -85,21 +57,20 @@ class BeRouter {
   static constexpr unsigned kOutProgramming = 5;
   static constexpr unsigned kNumOutputs = 6;
 
-  struct OutputHooks {
-    /// May accept one more flit of this BE VC now. Inline captures: the
-    /// hooks fire once per routed BE flit.
-    sim::InlineFunction<bool(BeVcIdx)> ready;
-    sim::InlineFunction<void(Flit&&)> push;  ///< hand over one flit
-  };
+  /// Part of `owner` (constructed as its member): routed flits go to the
+  /// owner's BE output stages, local NA interface and programming
+  /// interface, and freed input slots return their credits through it.
+  BeRouter(Router& owner, const RouterConfig& cfg, const StageDelays& delays);
 
-  BeRouter(sim::SimContext& ctx, const RouterConfig& cfg,
-           const StageDelays& delays, std::string name);
-
-  /// Wires an output (Router does this during assembly).
-  void set_output(unsigned out, OutputHooks hooks);
-
-  /// Installs the upstream credit-return callback of an input port.
-  void set_credit_return(PortIdx in, sim::InlineFunction<void(BeVcIdx)> cb);
+  /// Flit slots one BE router's input rings need (kNumPorts * be_vcs *
+  /// be_buffer_depth).
+  static std::size_t input_slots(const RouterConfig& cfg) {
+    return static_cast<std::size_t>(kNumPorts) * cfg.be_vcs *
+           cfg.be_buffer_depth;
+  }
+  /// Binds the input rings to `slots` (input_slots() flits, owned by the
+  /// Router). Called once during the Router's construction.
+  void bind_inputs(Flit* slots, unsigned depth);
 
   /// Activates the dateline VC-class rule for wrap topologies
   /// (torus/ring): a flit entering a dimension travels on BE VC 0 and is
@@ -117,20 +88,23 @@ class BeRouter {
   /// THDR flits (those fabrics never emit them).
   void enable_table_routing(const RouteTable* table, std::size_t self_idx);
 
-  /// Flit arriving on an input port (from the switching module's BE code
-  /// or from the NA's local BE interface); its bevc bit selects the VC.
+  /// Flit arriving on an input port (typed-dispatch entry for the
+  /// switching module's BE code, or the NA's local BE interface); its
+  /// bevc bit selects the VC. Overflow means the upstream violated
+  /// credit flow control and raises ModelError.
   void push_input(PortIdx in, Flit&& f);
 
   /// Output stages call this when they free a slot.
   void notify_output_ready(unsigned out);
 
-  /// Typed-dispatch entry: the route cycle scheduled by route_one()
-  /// completes (flit handed to the output stage, register recovered).
+  /// Typed-dispatch entry: the route cycle scheduled by try_route()
+  /// completes (flit handed to the output, register recovered).
   void complete_route_cycle(unsigned out, Flit&& f);
 
   unsigned be_vcs() const { return be_vcs_; }
   const BeInputBuffer& input(PortIdx in, BeVcIdx vc = 0) const {
-    return inputs_.at(in).at(vc);
+    MANGO_ASSERT(in < kNumPorts && vc < be_vcs_, "BE input out of range");
+    return inputs_[in][vc];
   }
 
   std::uint64_t flits_routed() const { return flits_routed_; }
@@ -141,7 +115,8 @@ class BeRouter {
   static constexpr std::uint8_t kNoReg = 0xFF;
 
   struct InputState {
-    std::optional<unsigned> target;  ///< decoded output of current packet
+    /// Decoded output of the current packet (kNoReg until decoded).
+    std::uint8_t target = kNoReg;
     bool awaiting_header = true;
     /// Output whose request mask currently holds this input's bit
     /// (kNoReg when none): the arbitration scan only visits inputs that
@@ -164,6 +139,11 @@ class BeRouter {
 
   void on_input_head(PortIdx in, BeVcIdx vc);
   void try_route(unsigned out);
+  /// May output `out` accept one more flit of outgoing BE VC `vc` now
+  /// (the NA and programming interfaces always can).
+  bool output_ready(unsigned out, BeVcIdx vc) const;
+  /// "<router>.be<Port>.vc<N>", built only for diagnostics.
+  std::string buffer_name(PortIdx in, BeVcIdx vc) const;
   void register_req(PortIdx in, BeVcIdx vc, unsigned out);
   void clear_req(PortIdx in, BeVcIdx vc);
   /// Decodes the routing target of a header flit arriving on `in`
@@ -173,18 +153,16 @@ class BeRouter {
   /// `in` to `out` (identity unless set_vc_classes() armed the rule).
   BeVcIdx out_vc_class(PortIdx in, unsigned out, BeVcIdx cur) const;
 
+  Router& router_;
   sim::Simulator& sim_;
   const StageDelays& delays_;
-  std::string name_;
   unsigned be_vcs_;
   bool vc_classes_enabled_ = false;
   std::array<bool, kNumDirections> dateline_{};
   const RouteTable* route_table_ = nullptr;  ///< THDR next-hop lookups
   std::uint32_t self_idx_ = 0;               ///< this router's node index
-  std::array<std::vector<BeInputBuffer>, kNumPorts> inputs_;
-  std::array<sim::InlineFunction<void(BeVcIdx)>, kNumPorts> credit_cbs_;
+  std::array<std::array<BeInputBuffer, kMaxBeVcs>, kNumPorts> inputs_{};
   std::array<std::array<InputState, kMaxBeVcs>, kNumPorts> in_state_{};
-  std::array<OutputHooks, kNumOutputs> outputs_{};
   std::array<OutputState, kNumOutputs> out_state_{};
   std::array<std::uint64_t, kNumOutputs> out_flits_{};
   std::uint64_t flits_routed_ = 0;

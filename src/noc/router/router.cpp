@@ -6,36 +6,40 @@
 
 namespace mango::noc {
 
-void BeOutputStage::wire(Router* owner, PortIdx port, LinkArbiter* arb,
-                         unsigned be_vcs) {
+void BeOutputStage::wire(Router* owner, PortIdx port, unsigned be_vcs,
+                         Flit* slots) {
   owner_ = owner;
   port_ = port;
-  arb_ = arb;
-  lanes_.resize(be_vcs);
+  n_lanes_ = static_cast<std::uint8_t>(be_vcs);
+  for (unsigned vc = 0; vc < be_vcs; ++vc) {
+    lanes_[vc].fifo.bind(slots + vc * kDepth, kDepth);
+  }
 }
 
 void BeOutputStage::set_downstream(unsigned credits_per_vc,
                                    std::uint8_t peer_split_code) {
-  for (Lane& lane : lanes_) lane.credits = credits_per_vc;
+  for (unsigned vc = 0; vc < n_lanes_; ++vc) {
+    lanes_[vc].credits = credits_per_vc;
+  }
   peer_split_code_ = peer_split_code;
 }
 
 void BeOutputStage::push(Flit&& f) {
-  Lane& lane = lanes_.at(be_vc_of(f));
-  MANGO_ASSERT(lane.fifo.size() < kDepth, "BE output stage overflow");
-  lane.fifo.push_back(std::move(f));
+  Lane& lane = lanes_[be_vc_of(f)];
+  MANGO_ASSERT(!lane.fifo.full(), "BE output stage overflow");
+  lane.fifo.push_back(f);
   update_request();
 }
 
 void BeOutputStage::on_grant() {
   // Round-robin over lanes that can send (flit present + credit).
-  const unsigned n = static_cast<unsigned>(lanes_.size());
+  const unsigned n = n_lanes_;
   for (unsigned i = 0; i < n; ++i) {
-    Lane& lane = lanes_[(rr_ + i) % n];
+    const unsigned l = (rr_ + i) % n;
+    Lane& lane = lanes_[l];
     if (lane.fifo.empty() || lane.credits == 0) continue;
-    rr_ = (rr_ + i + 1) % n;
-    Flit f = lane.fifo.front();
-    lane.fifo.pop_front();
+    rr_ = static_cast<std::uint8_t>((l + 1) % n);
+    const Flit f = lane.fifo.pop_front();
     --lane.credits;
     ++flits_sent_;
     Link* link = owner_->link(port_);
@@ -50,19 +54,19 @@ void BeOutputStage::on_grant() {
 }
 
 void BeOutputStage::on_credit_return(BeVcIdx vc) {
-  ++lanes_.at(vc).credits;
+  ++lanes_[vc].credits;
   update_request();
 }
 
 void BeOutputStage::update_request() {
   bool any = false;
-  for (const Lane& lane : lanes_) {
-    if (!lane.fifo.empty() && lane.credits > 0) {
+  for (unsigned vc = 0; vc < n_lanes_; ++vc) {
+    if (!lanes_[vc].fifo.empty() && lanes_[vc].credits > 0) {
       any = true;
       break;
     }
   }
-  arb_->set_request_be(any);
+  owner_->request_be(port_, any);
 }
 
 Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
@@ -74,11 +78,15 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       node_(node),
       name_(std::move(name)),
       table_(cfg),
-      switching_(sim_, cfg, delays_),
+      switching_(cfg, delays_),
       vc_control_(sim_, table_, delays_),
       prog_(table_),
-      be_(ctx, cfg, delays_, name_),
-      arena_(arena) {
+      be_(*this, cfg, delays_),
+      arena_(arena),
+      arbiters_{LinkArbiter(cfg, name_ + ".arb" + port_name(0)),
+                LinkArbiter(cfg, name_ + ".arb" + port_name(1)),
+                LinkArbiter(cfg, name_ + ".arb" + port_name(2)),
+                LinkArbiter(cfg, name_ + ".arb" + port_name(3))} {
   events::install(sim_);
   const unsigned v = cfg_.vcs_per_port;
   scheme_ = cfg_.arbiter == ArbiterKind::kUnregulated
@@ -90,8 +98,6 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
   bufs_.reserve(kNumDirections * v + cfg_.local_gs_ifaces);
   flow_.reserve(kNumDirections * v);
   for (PortIdx p = 0; p < kNumDirections; ++p) {
-    arbiters_[p] = make_component<LinkArbiter>(
-        sim_, cfg_, delays_, name_ + ".arb" + port_name(p));
     for (VcIdx vc = 0; vc < v; ++vc) {
       const VcBufferId id{p, vc};
       bufs_.push_back(make_component<VcBuffer>(sim_, delays_, scheme, id));
@@ -103,9 +109,24 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
       buf.set_on_reverse([this, id] { vc_control_.signal(id); });
       fb.set_on_ready([this, p, vc] { update_gs_request(p, vc); });
     }
-    arbiters_[p]->set_grant_gs([this, p](VcIdx vc) { on_gs_grant(p, vc); });
-    arbiters_[p]->set_grant_be([this, p] { be_out_[p].on_grant(); });
-    be_out_[p].wire(this, p, arbiters_[p], cfg_.be_vcs);
+  }
+
+  // BE flit storage: every BE input ring, then every output-stage lane,
+  // in one block sized from the config.
+  const std::size_t in_slots = BeRouter::input_slots(cfg_);
+  const std::size_t lane_slots =
+      static_cast<std::size_t>(cfg_.be_vcs) * BeOutputStage::kDepth;
+  const std::size_t n_slots = in_slots + kNumDirections * lane_slots;
+  Flit* slots = nullptr;
+  if (arena_ != nullptr) {
+    slots = arena_->create_array<Flit>(n_slots);
+  } else {
+    be_slots_heap_ = std::make_unique<Flit[]>(n_slots);
+    slots = be_slots_heap_.get();
+  }
+  be_.bind_inputs(slots, cfg_.be_buffer_depth);
+  for (PortIdx p = 0; p < kNumDirections; ++p) {
+    be_out_[p].wire(this, p, cfg_.be_vcs, slots + in_slots + p * lane_slots);
   }
 
   // Local output interfaces (delivery to the NA; no link arbiter).
@@ -118,14 +139,6 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
     });
     buf.set_on_reverse([this, id] { vc_control_.signal(id); });
   }
-
-  // Switching module sinks.
-  switching_.set_gs_sink([this](VcBufferId id, Flit&& f) {
-    vc_buffer(id).accept_unshare(std::move(f));
-  });
-  switching_.set_be_sink([this](PortIdx in, Flit&& f) {
-    be_.push_input(in, std::move(f));
-  });
 
   // VC control module outputs.
   vc_control_.set_network_out([this](PortIdx in_port, VcIdx wire) {
@@ -141,65 +154,12 @@ Router::Router(sim::SimContext& ctx, const RouterConfig& cfg, NodeId node,
         local_reverse_(iface);
       },
       reverse_fold_delay());
-
-  // BE router outputs: 4 network stages + local NA + programming.
-  for (PortIdx p = 0; p < kNumDirections; ++p) {
-    be_.set_output(p, BeRouter::OutputHooks{
-                          [this, p](BeVcIdx vc) { return be_out_[p].ready(vc); },
-                          [this, p](Flit&& f) { be_out_[p].push(std::move(f)); },
-                      });
-  }
-  be_.set_output(BeRouter::kOutLocalNa,
-                 BeRouter::OutputHooks{
-                     [](BeVcIdx) { return true; },  // NA rx is unbounded
-                     [this](Flit&& f) {
-                       if (local_be_delivery_timed_) {
-                         // Passive NA consumer: fold the wire hop.
-                         const sim::Time at =
-                             sim_.now() + delays_.na_link_fwd;
-                         sim_.note_folded_hop_at(at);
-                         local_be_delivery_timed_(std::move(f), at);
-                         return;
-                       }
-                       MANGO_ASSERT(static_cast<bool>(local_be_delivery_),
-                                    "no NA BE delivery sink on " + name_);
-                       sim_.after(delays_.na_link_fwd,
-                                  [this, f = std::move(f)]() mutable {
-                                    local_be_delivery_(std::move(f));
-                                  });
-                     },
-                 });
-  be_.set_output(BeRouter::kOutProgramming,
-                 BeRouter::OutputHooks{
-                     [](BeVcIdx) { return true; },
-                     [this](Flit&& f) { prog_.accept_flit(std::move(f)); },
-                 });
-
-  // BE input credit returns.
-  for (PortIdx p = 0; p < kNumDirections; ++p) {
-    be_.set_credit_return(p, [this, p](BeVcIdx vc) {
-      Link* l = links_.at(p);
-      MANGO_ASSERT(l != nullptr,
-                   "BE credit through unattached port " + port_name(p));
-      l->send_be_credit(this, vc);
-    });
-  }
-  be_.set_credit_return(kLocalPort, [this](BeVcIdx vc) {
-    if (local_be_credit_) {
-      sim::TypedEvent ev{};
-      ev.op = events::kOpLocalBeCredit;
-      ev.a = vc;
-      ev.p0 = this;
-      sim_.after_typed(delays_.be_credit_back, ev);
-    }
-  });
 }
 
 Router::~Router() {
   if (arena_ != nullptr) return;  // arena owns the components
   for (VcBuffer* b : bufs_) delete b;
   for (VcFlowControl* f : flow_) delete f;
-  for (LinkArbiter* a : arbiters_) delete a;
 }
 
 std::size_t Router::buf_index(VcBufferId id) const {
@@ -231,15 +191,27 @@ void Router::configure_be_downstream(PortIdx port, unsigned credits_per_vc,
 }
 
 void Router::receive_link_flit(PortIdx in_port, LinkFlit lf) {
-  switching_.route(in_port, lf);
+  // The split module (and for GS the half-switch and unsharebox latch)
+  // delays the flit by the decoded stage delay; it then lands in the BE
+  // router's input or in the target VC buffer.
+  const SwitchingModule::PlannedHop hop = switching_.route(in_port, lf.steer);
+  sim::TypedEvent ev{};
+  if (hop.to_be) {
+    ev.op = events::kOpSwitchBe;
+    ev.a = in_port;
+    ev.p0 = &be_;
+  } else {
+    ev.op = events::kOpSwitchGs;
+    ev.a = hop.target.port;
+    ev.b = hop.target.vc;
+    ev.p0 = this;
+  }
+  events::store_flit(ev, lf.flit);
+  sim_.after_typed(hop.stage_delay, ev);
 }
 
 void Router::receive_reverse(PortIdx out_port, VcIdx vc) {
   flow_control(out_port, vc).on_reverse_signal();
-}
-
-void Router::receive_be_credit(PortIdx out_port, BeVcIdx vc) {
-  be_out_[out_port].on_credit_return(vc);
 }
 
 bool Router::local_out_has_head(LocalIfaceIdx iface) const {
@@ -261,7 +233,7 @@ bool Router::gs_eligible(PortIdx port, VcIdx vc) const {
 
 void Router::update_gs_request(PortIdx port, VcIdx vc) {
   if (!gs_eligible(port, vc)) {
-    arbiters_[port]->set_request_gs(vc, false);
+    arbiters_[port].set_request_gs(vc, false);  // dropping never grants
     return;
   }
   // The request line rises after the buffer-head -> arbiter wire delay;
@@ -275,10 +247,71 @@ void Router::update_gs_request(PortIdx port, VcIdx vc) {
 }
 
 void Router::recheck_gs_request(PortIdx port, VcIdx vc) {
-  arbiters_[port]->set_request_gs(vc, gs_eligible(port, vc));
+  if (arbiters_[port].set_request_gs(vc, gs_eligible(port, vc))) {
+    try_grant(port);
+  }
+}
+
+void Router::request_be(PortIdx port, bool requesting) {
+  if (arbiters_[port].set_request_be(requesting)) try_grant(port);
+}
+
+void Router::try_grant(PortIdx port) {
+  LinkArbiter& arb = arbiters_[port];
+  const int sel = arb.grant();
+  if (sel < 0) return;
+  if (sel == static_cast<int>(arb.vcs())) {
+    be_out_[port].on_grant();
+  } else {
+    on_gs_grant(port, static_cast<VcIdx>(sel));
+  }
+  // The link-output stage recovers after one arbitration cycle; the
+  // reciprocal of this pacing is the port speed reported in Section 6.
+  sim::TypedEvent ev{};
+  ev.op = events::kOpArbRearm;
+  ev.a = port;
+  ev.p0 = this;
+  sim_.after_typed(delays_.arb_cycle, ev);
+}
+
+void Router::complete_arb_cycle(PortIdx port) {
+  arbiters_[port].complete_cycle();
+  try_grant(port);
 }
 
 void Router::deliver_local_be_credit(BeVcIdx vc) { local_be_credit_(vc); }
+
+void Router::return_be_credit(PortIdx in, BeVcIdx vc) {
+  if (in == kLocalPort) {
+    if (local_be_credit_) {
+      sim::TypedEvent ev{};
+      ev.op = events::kOpLocalBeCredit;
+      ev.a = vc;
+      ev.p0 = this;
+      sim_.after_typed(delays_.be_credit_back, ev);
+    }
+    return;
+  }
+  Link* l = links_[in];
+  MANGO_ASSERT(l != nullptr,
+               "BE credit through unattached port " + port_name(in));
+  l->send_be_credit(this, vc);
+}
+
+void Router::deliver_local_be(Flit&& f) {
+  if (local_be_delivery_timed_) {
+    // Passive NA consumer: fold the wire hop.
+    const sim::Time at = sim_.now() + delays_.na_link_fwd;
+    sim_.note_folded_hop_at(at);
+    local_be_delivery_timed_(std::move(f), at);
+    return;
+  }
+  MANGO_ASSERT(static_cast<bool>(local_be_delivery_),
+               "no NA BE delivery sink on " + name_);
+  sim_.after(delays_.na_link_fwd, [this, f = std::move(f)]() mutable {
+    local_be_delivery_(std::move(f));
+  });
+}
 
 const Router::GsSendPlan& Router::send_plan(PortIdx port, VcIdx vc) {
   if (send_plans_.empty()) {
@@ -342,7 +375,7 @@ RouterActivity Router::activity() const {
   a.switch_flits = switching_.flits_routed();
   a.vc_control_signals = vc_control_.signals();
   for (PortIdx p = 0; p < kNumDirections; ++p) {
-    a.arb_grants += arbiters_[p]->total_grants();
+    a.arb_grants += arbiters_[p].total_grants();
   }
   a.be_router_flits = be_.flits_routed();
   a.link_flits_sent = link_flits_sent_;

@@ -16,7 +16,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,28 +45,34 @@ class Router;
 /// FIFO lane per BE VC, requesting the link arbiter while any lane holds
 /// a flit and its downstream BE input buffer has a free slot (credit).
 /// Lanes are served round-robin so the two BE VCs interleave on the link.
+/// The lanes are fixed rings over flit slots the Router owns.
 class BeOutputStage {
  public:
   static constexpr unsigned kDepth = 2;
 
   BeOutputStage() = default;
 
-  void wire(Router* owner, PortIdx port, LinkArbiter* arb, unsigned be_vcs);
+  /// Binds the stage to `owner`'s `port`; `slots` holds be_vcs * kDepth
+  /// flits owned by the router.
+  void wire(Router* owner, PortIdx port, unsigned be_vcs, Flit* slots);
   /// Set at network assembly: downstream per-VC buffer depth and the
   /// split code that routes a flit into the downstream BE router.
   void set_downstream(unsigned credits_per_vc, std::uint8_t peer_split_code);
 
-  bool ready(BeVcIdx vc) const { return lanes_.at(vc).fifo.size() < kDepth; }
+  bool ready(BeVcIdx vc) const { return !lanes_[vc].fifo.full(); }
   void push(Flit&& f);
   void on_grant();                      ///< link arbiter granted BE
   void on_credit_return(BeVcIdx vc);    ///< downstream freed a VC slot
 
-  unsigned credits(BeVcIdx vc = 0) const { return lanes_.at(vc).credits; }
+  unsigned credits(BeVcIdx vc = 0) const {
+    MANGO_ASSERT(vc < n_lanes_, "BE output lane out of range");
+    return lanes_[vc].credits;
+  }
   std::uint64_t flits_sent() const { return flits_sent_; }
 
  private:
   struct Lane {
-    sim::FifoRing<Flit> fifo;
+    sim::FixedRing<Flit> fifo;
     unsigned credits = 0;
   };
 
@@ -75,10 +80,10 @@ class BeOutputStage {
 
   Router* owner_ = nullptr;
   PortIdx port_ = 0;
-  LinkArbiter* arb_ = nullptr;
-  std::vector<Lane> lanes_;
-  unsigned rr_ = 0;
+  std::uint8_t n_lanes_ = 0;
+  std::uint8_t rr_ = 0;
   std::uint8_t peer_split_code_ = 0;
+  std::array<Lane, kMaxBeVcs> lanes_{};
   std::uint64_t flits_sent_ = 0;
 };
 
@@ -94,7 +99,7 @@ struct RouterActivity {
 class Router {
  public:
   /// With an `arena`, the router's owned components (VC buffers, flow
-  /// boxes, link arbiters) are bump-allocated from it and destroyed by
+  /// boxes, BE flit storage) are bump-allocated from it and destroyed by
   /// the arena; without one they live on the heap and ~Router() frees
   /// them. Network passes its per-partition arena so a shard's hot
   /// state is contiguous in node-index order.
@@ -122,7 +127,9 @@ class Router {
   /// Reverse GS signal for the flow box of VC buffer (out_port, vc).
   void receive_reverse(PortIdx out_port, VcIdx vc);
   /// BE credit return for the BE output stage on out_port.
-  void receive_be_credit(PortIdx out_port, BeVcIdx vc);
+  void receive_be_credit(PortIdx out_port, BeVcIdx vc) {
+    be_out_[out_port].on_credit_return(vc);
+  }
 
   // --- coalesced data-plane entry points ---
   // The sender resolved the switching decision and charged the stage
@@ -143,6 +150,18 @@ class Router {
   void recheck_gs_request(PortIdx port, VcIdx vc);
   /// A local BE credit lands at the NA after the credit-wire delay.
   void deliver_local_be_credit(BeVcIdx vc);
+  /// The link-output stage of `port` recovers one arbitration cycle
+  /// after a grant; its arbiter re-evaluates.
+  void complete_arb_cycle(PortIdx port);
+
+  // --- BE wiring (the router's own BE router and output stages) ---
+  /// A BE output stage raises or drops its link-arbiter request line.
+  void request_be(PortIdx port, bool requesting);
+  /// The BE router freed a slot of input `in`, VC `vc`: the credit goes
+  /// back upstream over the link (or to the NA for the local input).
+  void return_be_credit(PortIdx in, BeVcIdx vc);
+  /// The BE router hands the NA a flit routed to the local port.
+  void deliver_local_be(Flit&& f);
 
   /// Re-arm delay the coalesced reverse path folds into the wire event
   /// (sharebox re-arm for share-based VC control, 0 for credit-based).
@@ -215,11 +234,11 @@ class Router {
   const SwitchingModule& switching() const { return switching_; }
   ConnectionTable& table() { return table_; }
   ProgrammingInterface& programming() { return prog_; }
-  LinkArbiter& arbiter(PortIdx port) { return *arbiters_.at(port); }
-  const LinkArbiter& arbiter(PortIdx port) const { return *arbiters_.at(port); }
+  LinkArbiter& arbiter(PortIdx port) { return arbiters_.at(port); }
+  const LinkArbiter& arbiter(PortIdx port) const { return arbiters_.at(port); }
   BeRouter& be_router() { return be_; }
   const BeRouter& be_router() const { return be_; }
-  BeOutputStage& be_output(PortIdx port) { return be_out_.at(port); }
+  BeOutputStage& be_output(PortIdx port) { return be_out_[port]; }
   VcBuffer& vc_buffer(VcBufferId id) { return *bufs_.at(buf_index(id)); }
   VcFlowControl& flow_control(PortIdx port, VcIdx vc);
 
@@ -238,6 +257,10 @@ class Router {
   }
   bool gs_eligible(PortIdx port, VcIdx vc) const;
   void update_gs_request(PortIdx port, VcIdx vc);
+  /// Runs `port`'s link arbiter: a grant goes straight to the granted
+  /// VC buffer or BE output stage, then the stage's recovery is
+  /// scheduled one arbitration cycle later.
+  void try_grant(PortIdx port);
   void on_gs_grant(PortIdx port, VcIdx vc);
   const GsSendPlan& send_plan(PortIdx port, VcIdx vc);
 
@@ -262,8 +285,13 @@ class Router {
   std::vector<VcBuffer*> bufs_;
   // Flow boxes for the network VC buffers only (local delivery has none).
   std::vector<VcFlowControl*> flow_;
-  std::array<LinkArbiter*, kNumDirections> arbiters_{};
+  /// Held by value next to the BE output stages they serve: every BE
+  /// or GS grant touches both.
+  std::array<LinkArbiter, kNumDirections> arbiters_;
   std::array<BeOutputStage, kNumDirections> be_out_;
+  /// BE flit storage when there is no arena: the input rings of be_,
+  /// then the lanes of be_out_, in one block sized from the config.
+  std::unique_ptr<Flit[]> be_slots_heap_;
   std::array<Link*, kNumDirections> links_{};
   /// Cached per-(port, vc) GS transfer plans (coalesced path).
   std::vector<GsSendPlan> send_plans_;

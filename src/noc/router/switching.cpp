@@ -1,17 +1,14 @@
 #include "noc/router/switching.hpp"
 
-#include "noc/common/events.hpp"
 #include "sim/assert.hpp"
 
 namespace mango::noc {
 
-SwitchingModule::SwitchingModule(sim::Simulator& sim, const RouterConfig& cfg,
+SwitchingModule::SwitchingModule(const RouterConfig& cfg,
                                  const StageDelays& delays)
-    : sim_(sim),
-      delays_(delays),
+    : delays_(delays),
       vcs_per_port_(cfg.vcs_per_port),
       local_ifaces_(cfg.local_gs_ifaces) {
-  events::install(sim_);
   MANGO_ASSERT(vcs_per_port_ >= 1 && vcs_per_port_ <= 2 * kVcsPerHalf,
                "the 5-bit steering format supports at most 8 VCs per port");
   MANGO_ASSERT(local_ifaces_ >= 1 && local_ifaces_ <= kVcsPerHalf,
@@ -46,44 +43,6 @@ SwitchingModule::SwitchingModule(sim::Simulator& sim, const RouterConfig& cfg,
       }
     }
   }
-}
-
-void SwitchingModule::route(PortIdx in_port, LinkFlit lf) {
-  MANGO_ASSERT(in_port < kNumPorts, "route(): bad input port");
-  const Dest dest = map_[in_port][lf.steer.split];
-  ++flits_routed_;
-  switch (dest.kind) {
-    case Dest::Kind::kGs: {
-      const unsigned vc = dest.half * kVcsPerHalf + lf.steer.vc;
-      const unsigned limit =
-          dest.out == kLocalPort ? local_ifaces_ : vcs_per_port_;
-      MANGO_ASSERT(vc < limit, "steering bits select a nonexistent VC buffer");
-      MANGO_ASSERT(static_cast<bool>(gs_sink_), "switching has no GS sink");
-      sim::TypedEvent ev{};
-      ev.op = events::kOpSwitchGs;
-      ev.a = dest.out;
-      ev.b = static_cast<std::uint8_t>(vc);
-      ev.p0 = this;
-      events::store_flit(ev, lf.flit);
-      sim_.after_typed(
-          delays_.split_fwd + delays_.switch_fwd + delays_.unshare_fwd, ev);
-      return;
-    }
-    case Dest::Kind::kBe: {
-      MANGO_ASSERT(static_cast<bool>(be_sink_), "switching has no BE sink");
-      sim::TypedEvent ev{};
-      ev.op = events::kOpSwitchBe;
-      ev.a = in_port;
-      ev.p0 = this;
-      events::store_flit(ev, lf.flit);
-      sim_.after_typed(delays_.split_fwd, ev);
-      return;
-    }
-    case Dest::Kind::kInvalid:
-      break;
-  }
-  model_fail("flit entered " + port_name(in_port) +
-             " with an unmapped split code " + std::to_string(lf.steer.split));
 }
 
 SwitchingModule::PlannedHop SwitchingModule::plan(PortIdx in_port,

@@ -19,12 +19,11 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 
 #include "noc/common/config.hpp"
 #include "noc/common/flit.hpp"
 #include "noc/common/ids.hpp"
-#include "sim/simulator.hpp"
+#include "sim/time.hpp"
 
 namespace mango::noc {
 
@@ -37,45 +36,37 @@ class SwitchingModule {
     std::uint8_t half = 0; ///< GS: which 4x4 half-switch
   };
 
-  using GsSink = std::function<void(VcBufferId, Flit&&)>;
-  using BeSink = std::function<void(PortIdx in_port, Flit&&)>;
+  SwitchingModule(const RouterConfig& cfg, const StageDelays& delays);
 
-  SwitchingModule(sim::Simulator& sim, const RouterConfig& cfg,
-                  const StageDelays& delays);
-
-  /// Installs the GS delivery callback (fires after split + switch +
-  /// unsharebox-latch delays; the target VC buffer accepts the flit).
-  void set_gs_sink(GsSink sink) { gs_sink_ = std::move(sink); }
-
-  /// Installs the BE delivery callback (fires after the split delay).
-  void set_be_sink(BeSink sink) { be_sink_ = std::move(sink); }
-
-  /// Routes a link flit arriving on `in_port`. Steering bits are
-  /// consumed here; the delivered flit no longer carries them.
-  void route(PortIdx in_port, LinkFlit lf);
-
-  /// Send-time decode for the coalesced transfer path: the split map is
-  /// static, so the upstream hop can resolve the destination when it
-  /// schedules the link event and fold the stage delay into the arrival
-  /// timestamp. Performs exactly route()'s validity checks.
+  /// Decode of one flit's steering bits: where the flit lands and the
+  /// stage delay it pays on the way (split, plus switch and unsharebox
+  /// latch for GS). The switch has no arbitration, so the decode is all
+  /// there is to it.
   struct PlannedHop {
     bool to_be = false;
     VcBufferId target{};        ///< GS destination (valid when !to_be)
     sim::Time stage_delay = 0;  ///< split (+ switch + unshare for GS)
   };
+
+  /// Routes a link flit arriving on `in_port`: decodes its steering
+  /// bits and counts the traversal. The owning Router lands the flit at
+  /// the returned destination after the stage delay. ModelError on an
+  /// unmapped split code or a nonexistent VC buffer.
+  PlannedHop route(PortIdx in_port, SteerBits steer) {
+    const PlannedHop hop = plan(in_port, steer);
+    ++flits_routed_;
+    return hop;
+  }
+
+  /// Send-time decode for the coalesced transfer path: the split map is
+  /// static, so the upstream hop can resolve the destination when it
+  /// schedules the link event and fold the stage delay into the arrival
+  /// timestamp. Same checks as route(); counts nothing.
   PlannedHop plan(PortIdx in_port, SteerBits steer) const;
 
   /// Counts a flit delivered through a coalesced transfer event (the
   /// stage traversal happened analytically).
   void note_routed() { ++flits_routed_; }
-
-  // --- typed-dispatch entry points (scheduled by route()) ---
-  void deliver_gs(VcBufferId target, Flit&& f) {
-    gs_sink_(target, std::move(f));
-  }
-  void deliver_be(PortIdx in_port, Flit&& f) {
-    be_sink_(in_port, std::move(f));
-  }
 
   /// Computes the steering bits a previous hop must append so that a flit
   /// entering on `in_port` lands in VC buffer `dest`. ModelError if the
@@ -96,13 +87,10 @@ class SwitchingModule {
   static constexpr unsigned kCodes = 1u << kSteerSplitBits;
   static constexpr unsigned kVcsPerHalf = 1u << kSteerVcBits;
 
-  sim::Simulator& sim_;
   const StageDelays& delays_;
   unsigned vcs_per_port_;
   unsigned local_ifaces_;
   std::array<std::array<Dest, kCodes>, kNumPorts> map_{};
-  GsSink gs_sink_;
-  BeSink be_sink_;
   std::uint64_t flits_routed_ = 0;
 };
 

@@ -1,7 +1,7 @@
 // Chunked bump arena for partition-resident model state.
 //
 // A fabric's per-shard components (routers, NAs, links, VC buffers,
-// flow boxes, arbiters — and the stat slots embedded in them) are
+// flow boxes, BE flit storage — and the stat slots embedded in them) are
 // allocated back-to-back from one arena per partition, in node-index
 // order. The hot path chases pointers between these objects on every
 // event, so co-locating a partition's working set in a few contiguous
@@ -69,6 +69,17 @@ class Arena {
           obj, [](void* o) { static_cast<T*>(o)->~T(); }});
     }
     return obj;
+  }
+
+  /// Default-constructs `n` trivially destructible Ts back-to-back (one
+  /// block, nothing registered for destruction).
+  template <typename T>
+  T* create_array(std::size_t n) {
+    static_assert(std::is_trivially_destructible_v<T>,
+                  "arena arrays are never destroyed element by element");
+    T* first = static_cast<T*>(allocate(n * sizeof(T), alignof(T)));
+    for (std::size_t i = 0; i < n; ++i) ::new (first + i) T();
+    return first;
   }
 
   /// Total bytes reserved from the system (capacity of all chunks).

@@ -1,239 +1,190 @@
-// Unit tests for the BE router engine (Section 5) with stub outputs.
+// Tests for the BE router (Section 5) on a Router's real wiring: flits
+// enter through NAs or a router's input ports and leave over the links,
+// the output stages and the link arbiters a Network assembles.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "noc/common/packet.hpp"
+#include "noc/common/route.hpp"
+#include "noc/network/network.hpp"
 #include "noc/router/be_router.hpp"
-#include "sim/simulator.hpp"
 #include "sim/context.hpp"
+#include "sim/simulator.hpp"
 
 namespace mango::noc {
 namespace {
 
-struct BeHarness {
+const PortIdx kEastPort = port_of(Direction::kEast);
+const PortIdx kWestPort = port_of(Direction::kWest);
+
+/// A 3x3 mesh with a recording BE handler on every NA.
+struct BeFixture {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
-  RouterConfig cfg;
-  StageDelays delays = stage_delays(TimingCorner::kWorstCase);
-  BeRouter be{ctx, cfg, delays, "be-test"};
-  std::map<unsigned, std::vector<Flit>> out;
-  std::map<PortIdx, int> credits_returned;
+  std::unique_ptr<Network> net;
+  std::vector<std::vector<BePacket>> received;
 
-  BeHarness() {
-    for (unsigned o = 0; o < BeRouter::kNumOutputs; ++o) {
-      be.set_output(o, BeRouter::OutputHooks{
-                           [](BeVcIdx) { return true; },
-                           [this, o](Flit&& f) { out[o].push_back(f); }});
-    }
-    for (PortIdx p = 0; p < kNumPorts; ++p) {
-      be.set_credit_return(p, [this, p](BeVcIdx) { ++credits_returned[p]; });
+  explicit BeFixture(unsigned be_vcs = 1) {
+    MeshConfig mesh{3, 3, RouterConfig{}, 1};
+    mesh.router.be_vcs = be_vcs;
+    net = std::make_unique<Network>(ctx, mesh);
+    received.resize(9);
+    for (std::uint16_t y = 0; y < 3; ++y) {
+      for (std::uint16_t x = 0; x < 3; ++x) {
+        const std::size_t i = static_cast<std::size_t>(y) * 3 + x;
+        net->na({x, y}).set_be_handler(
+            [this, i](BePacket&& pkt) { received[i].push_back(std::move(pkt)); });
+      }
     }
   }
 
-  /// Feeds a whole packet into an input port (respecting nothing — the
-  /// caller must stay within the buffer capacity or drain in between).
-  void feed(PortIdx in, const BePacket& pkt) {
-    for (const Flit& f : pkt.flits) be.push_input(in, Flit{f});
+  std::vector<BePacket>& at(NodeId n) { return received[n.y * 3u + n.x]; }
+  BeRouter& be(NodeId n) { return net->router(n).be_router(); }
+
+  void send(NodeId src, NodeId dst, std::vector<std::uint32_t> payload,
+            std::uint32_t tag, BeVcIdx vc = 0,
+            LocalIface iface = LocalIface::kNetworkAdapter) {
+    net->na(src).send_be_packet(
+        make_be_packet(net->be_route(src, dst, iface), payload, tag), vc);
   }
 };
 
-TEST(BeRouterTest, LocalInjectionForwardsOutTheHeaderPort) {
-  BeHarness h;
-  BeRoute r;
-  r.moves = {Direction::kEast};
-  const BePacket pkt = make_be_packet(r, {111, 222});
-  h.feed(kLocalPort, pkt);
+TEST(BeRouterWiring, HeaderRotatesOncePerForwardAndTwiceOnDelivery) {
+  BeFixture h;
+  const BePacket sent =
+      make_be_packet(h.net->be_route({0, 0}, {1, 0}), {111, 222}, 5);
+  h.net->na({0, 0}).send_be_packet(BePacket{sent});
   h.sim.run();
-  const auto& flits = h.out[port_of(Direction::kEast)];
-  ASSERT_EQ(flits.size(), 3u);
-  // The forwarded header was rotated once.
-  EXPECT_EQ(flits[0].data, rotate_header(pkt.flits[0].data));
-  EXPECT_EQ(flits[1].data, 111u);
-  EXPECT_EQ(flits[2].data, 222u);
-  EXPECT_TRUE(flits[2].eop);
+  ASSERT_EQ(h.at({1, 0}).size(), 1u);
+  const BePacket& got = h.at({1, 0})[0];
+  ASSERT_EQ(got.size(), 3u);
+  // (0,0) forwards East (one rotation); (1,0) sees the back code and
+  // delivers locally (direction code + interface bits: two rotations).
+  EXPECT_EQ(got.flits[0].data,
+            rotate_header(rotate_header(rotate_header(sent.flits[0].data))));
+  EXPECT_EQ(got.flits[1].data, 111u);
+  EXPECT_EQ(got.flits[2].data, 222u);
+  EXPECT_TRUE(got.flits[2].eop);
+  EXPECT_EQ(h.be({0, 0}).flits_to(kEastPort), 3u);
+  EXPECT_EQ(h.be({1, 0}).flits_to(BeRouter::kOutLocalNa), 3u);
 }
 
-TEST(BeRouterTest, BackCodeDeliversToLocalNa) {
-  BeHarness h;
-  // A packet arriving on the East input whose code points East = "back
-  // where it came from" -> local delivery, iface bits 00 -> NA.
-  std::uint32_t header = 0;
-  header = (header << 2) | static_cast<std::uint32_t>(Direction::kEast);
-  header = (header << 2) |
-           static_cast<std::uint32_t>(LocalIface::kNetworkAdapter);
-  header <<= 28;
-  Flit hf;
-  hf.data = header;
-  Flit pf;
-  pf.data = 42;
-  pf.eop = true;
-  h.be.push_input(port_of(Direction::kEast), std::move(hf));
-  h.be.push_input(port_of(Direction::kEast), std::move(pf));
+TEST(BeRouterWiring, BackCodeSelectsTheLocalInterface) {
+  BeFixture h;
+  // A programming packet with one no-op word: the back code at (1,0)
+  // plus the interface bits route it to the programming interface.
+  h.send({0, 0}, {1, 0}, {0u}, 1, 0, LocalIface::kProgramming);
+  h.send({0, 0}, {1, 0}, {42u}, 2);
   h.sim.run();
-  ASSERT_EQ(h.out[BeRouter::kOutLocalNa].size(), 2u);
-  EXPECT_EQ(h.out[BeRouter::kOutLocalNa][1].data, 42u);
+  EXPECT_EQ(h.be({1, 0}).flits_to(BeRouter::kOutProgramming), 2u);
+  EXPECT_EQ(h.be({1, 0}).flits_to(BeRouter::kOutLocalNa), 2u);
+  ASSERT_EQ(h.at({1, 0}).size(), 1u);
+  EXPECT_EQ(h.at({1, 0})[0].flits[1].data, 42u);
 }
 
-TEST(BeRouterTest, ProgrammingIfaceBitRoutesToProgrammingOutput) {
-  BeHarness h;
-  std::uint32_t header = 0;
-  header = (header << 2) | static_cast<std::uint32_t>(Direction::kWest);
-  header = (header << 2) |
-           static_cast<std::uint32_t>(LocalIface::kProgramming);
-  header <<= 28;
-  Flit hf;
-  hf.data = header;
-  hf.eop = true;
-  h.be.push_input(port_of(Direction::kWest), std::move(hf));
-  h.sim.run();
-  EXPECT_EQ(h.out[BeRouter::kOutProgramming].size(), 1u);
-  EXPECT_TRUE(h.out[BeRouter::kOutLocalNa].empty());
-}
-
-TEST(BeRouterTest, NonBackCodesForwardFromNetworkInputs) {
-  BeHarness h;
-  // Arrives on North input, code = South -> forward out the South port.
-  std::uint32_t header = static_cast<std::uint32_t>(Direction::kSouth) << 30;
-  Flit hf;
-  hf.data = header;
-  hf.eop = true;
-  h.be.push_input(port_of(Direction::kNorth), std::move(hf));
-  h.sim.run();
-  EXPECT_EQ(h.out[port_of(Direction::kSouth)].size(), 1u);
-}
-
-TEST(BeRouterTest, WormholePacketsDoNotInterleave) {
-  BeHarness h;
-  // Two inputs contend for the East output with multi-flit packets.
-  BeRoute r;
-  r.moves = {Direction::kEast};
-  const BePacket a = make_be_packet(r, {1, 2, 3}, /*tag=*/1);
-  // From the North input, code East forwards East.
-  std::uint32_t header = static_cast<std::uint32_t>(Direction::kEast) << 30;
-  BePacket b;
-  Flit bh;
-  bh.data = header;
-  bh.tag = 2;
-  b.flits.push_back(bh);
-  for (int i = 0; i < 3; ++i) {
-    Flit f;
-    f.data = 100u + static_cast<std::uint32_t>(i);
-    f.tag = 2;
-    f.eop = (i == 2);
-    b.flits.push_back(f);
-  }
-  h.feed(kLocalPort, a);
-  h.feed(port_of(Direction::kNorth), b);
-  h.sim.run();
-  const auto& flits = h.out[port_of(Direction::kEast)];
-  ASSERT_EQ(flits.size(), 8u);
-  // Packet coherency: all flits of one tag are contiguous.
-  std::vector<std::uint32_t> tags;
-  for (const auto& f : flits) tags.push_back(f.tag);
-  for (std::size_t i = 1; i < 4; ++i) EXPECT_EQ(tags[i], tags[0]);
-  for (std::size_t i = 5; i < 8; ++i) EXPECT_EQ(tags[i], tags[4]);
-  EXPECT_NE(tags[0], tags[4]);
-}
-
-TEST(BeRouterTest, RoundRobinAmongContendingInputs) {
-  BeHarness h;
-  // Three single-flit packets per input, all to the East output.
-  for (int round = 0; round < 3; ++round) {
-    std::uint32_t header = static_cast<std::uint32_t>(Direction::kEast) << 30;
-    Flit f_n;
-    f_n.data = header;
-    f_n.tag = 10;  // from North
-    f_n.eop = true;
-    h.be.push_input(port_of(Direction::kNorth), std::move(f_n));
-    Flit f_s;
-    f_s.data = header;
-    f_s.tag = 20;  // from South
-    f_s.eop = true;
-    h.be.push_input(port_of(Direction::kSouth), std::move(f_s));
+TEST(BeRouterWiring, WormholePacketsDoNotInterleave) {
+  BeFixture h;
+  // (1,1)'s own packet and one from (0,1) contend for (1,1)'s East
+  // output; each keeps the output until its EOP.
+  const std::vector<std::uint32_t> pay(12, 0);
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    h.send({1, 1}, {2, 1}, pay, 10 + k);
+    h.send({0, 1}, {2, 1}, pay, 20 + k);
   }
   h.sim.run();
-  const auto& flits = h.out[port_of(Direction::kEast)];
-  ASSERT_EQ(flits.size(), 6u);
-  // Fair arbitration: the two inputs alternate.
-  for (std::size_t i = 2; i < flits.size(); ++i) {
-    EXPECT_EQ(flits[i].tag, flits[i - 2].tag);
+  ASSERT_EQ(h.at({2, 1}).size(), 6u);
+  for (const BePacket& pkt : h.at({2, 1})) {
+    ASSERT_EQ(pkt.size(), 13u);
+    for (const Flit& f : pkt.flits) EXPECT_EQ(f.tag, pkt.flits[0].tag);
   }
-  EXPECT_NE(flits[0].tag, flits[1].tag);
+  EXPECT_EQ(h.be({1, 1}).packets_routed(), 6u);
 }
 
-TEST(BeRouterTest, CreditReturnedPerForwardedFlit) {
-  BeHarness h;
-  BeRoute r;
-  r.moves = {Direction::kNorth};
-  h.feed(kLocalPort, make_be_packet(r, {5, 6, 7}));
+TEST(BeRouterWiring, RoundRobinAmongContendingInputs) {
+  BeFixture h;
+  // Saturating 2-flit streams from (0,1) and (1,0), both bound for
+  // (2,1): they meet on two inputs of one router, and once both inputs
+  // are backlogged the shared output alternates between them packet by
+  // packet.
+  for (int k = 0; k < 12; ++k) {
+    h.send({0, 1}, {2, 1}, {1u}, 1);
+    h.send({1, 0}, {2, 1}, {2u}, 2);
+  }
   h.sim.run();
-  EXPECT_EQ(h.credits_returned[kLocalPort], 4);  // header + 3 payload
-}
-
-TEST(BeRouterTest, InputBufferOverflowIsAModelError) {
-  BeHarness h;
-  // Capacity is 4; pushing 5 flits without draining must throw.
-  std::uint32_t header = static_cast<std::uint32_t>(Direction::kEast) << 30;
-  // Block the East output so nothing drains.
-  h.be.set_output(port_of(Direction::kEast),
-                  BeRouter::OutputHooks{[](BeVcIdx) { return false; },
-                                        [](Flit&&) { FAIL(); }});
-  Flit hf;
-  hf.data = header;
-  h.be.push_input(port_of(Direction::kNorth), std::move(hf));
-  for (int i = 0; i < 3; ++i) {
-    Flit f;
-    h.be.push_input(port_of(Direction::kNorth), std::move(f));
-  }
-  Flit overflow;
-  EXPECT_THROW(h.be.push_input(port_of(Direction::kNorth), std::move(overflow)),
-               mango::ModelError);
-}
-
-TEST(BeRouterTest, RoutingPacedAtBeRouteCycle) {
-  BeHarness h;
-  BeRoute r;
-  r.moves = {Direction::kWest};
-  const BePacket pkt = make_be_packet(r, {1, 2, 3, 4, 5, 6, 7});
-  // The packet (8 flits) exceeds the 4-deep input buffer: feed under
-  // credit flow control like a real upstream would.
-  std::size_t next = 0;
-  unsigned credits = h.cfg.be_buffer_depth;
-  std::function<void()> feed_one = [&] {
-    while (credits > 0 && next < pkt.size()) {
-      --credits;
-      h.be.push_input(kLocalPort, Flit{pkt.flits[next++]});
+  const auto& got = h.at({2, 1});
+  ASSERT_EQ(got.size(), 24u);
+  unsigned from_0_1 = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].flits[0].tag == 1) ++from_0_1;
+    if (i >= 2 && i + 2 < got.size()) {
+      EXPECT_NE(got[i].flits[0].tag, got[i - 1].flits[0].tag) << "packet " << i;
     }
-  };
-  h.be.set_credit_return(kLocalPort, [&](BeVcIdx) {
-    ++credits;
-    feed_one();
-  });
-  feed_one();
-  const auto t0 = h.sim.now();
-  h.sim.run();
-  // 8 flits, one per be_route_cycle.
-  EXPECT_GE(h.sim.now() - t0, 8 * h.delays.be_route_cycle);
-  EXPECT_EQ(h.be.flits_routed(), 8u);
-  EXPECT_EQ(h.be.packets_routed(), 1u);
+  }
+  EXPECT_EQ(from_0_1, 12u);
 }
 
-TEST(BeRouterTest, BackToBackPacketsOnOneInput) {
-  BeHarness h;
-  BeRoute east;
-  east.moves = {Direction::kEast};
-  BeRoute west;
-  west.moves = {Direction::kWest};
-  // Two packets to different outputs queued on the local input. The
-  // buffer holds 4 flits = exactly two 2-flit packets.
-  h.feed(kLocalPort, make_be_packet(east, {1}, 1));
-  h.feed(kLocalPort, make_be_packet(west, {2}, 2));
+TEST(BeRouterWiring, DualVcPacketsInterleaveOnOneOutput) {
+  BeFixture h(/*be_vcs=*/2);
+  // A long packet on VC 0 and a short one on VC 1 share (1,1)'s East
+  // output: the VC 1 packet is not held behind the VC 0 wormhole.
+  h.send({1, 1}, {2, 1}, std::vector<std::uint32_t>(24, 0), 1, 0);
+  h.send({1, 1}, {2, 1}, {7u}, 2, 1);
   h.sim.run();
-  EXPECT_EQ(h.out[port_of(Direction::kEast)].size(), 2u);
-  EXPECT_EQ(h.out[port_of(Direction::kWest)].size(), 2u);
-  EXPECT_EQ(h.be.packets_routed(), 2u);
+  const auto& got = h.at({2, 1});
+  ASSERT_EQ(got.size(), 2u);
+  EXPECT_EQ(got[0].flits[0].tag, 2u);
+  EXPECT_EQ(got[1].flits[0].tag, 1u);
+  EXPECT_EQ(got[1].size(), 25u);
+}
+
+TEST(BeRouterWiring, CreditsReturnPerFlitAndRoutingIsPaced) {
+  BeFixture h;
+  const StageDelays d = stage_delays(TimingCorner::kWorstCase);
+  const unsigned depth = RouterConfig{}.be_buffer_depth;
+  BeOutputStage& east = h.net->router({0, 0}).be_output(kEastPort);
+  EXPECT_EQ(east.credits(), depth);
+  // An 8-flit packet exceeds the 4-deep input buffers: it only gets
+  // through if every routed flit hands its credit back upstream.
+  h.send({0, 0}, {2, 0}, {1, 2, 3, 4, 5, 6, 7}, 3);
+  h.sim.run_until(8 * d.arb_cycle);
+  EXPECT_LT(east.credits(), depth);  // flits in flight downstream
+  h.sim.run();
+  ASSERT_EQ(h.at({2, 0}).size(), 1u);
+  EXPECT_EQ(h.at({2, 0})[0].size(), 8u);
+  EXPECT_EQ(east.credits(), depth);
+  EXPECT_EQ(h.net->router({1, 0}).be_output(kEastPort).credits(), depth);
+  EXPECT_EQ(h.net->na({0, 0}).be_credits(), depth);
+  EXPECT_EQ(h.be({0, 0}).flits_routed(), 8u);
+  EXPECT_EQ(h.be({0, 0}).packets_routed(), 1u);
+  // One route cycle per flit at every router on the way.
+  EXPECT_GE(h.sim.now(), 8 * d.be_route_cycle);
+}
+
+TEST(BeRouterWiring, InputBufferOverflowNamesTheBuffer) {
+  BeFixture h;
+  Router& r = h.net->router({1, 1});
+  const BeHeader header = h.net->be_header({1, 1}, {2, 1});
+  Flit hf;
+  hf.data = header.word;
+  hf.thdr = header.table;
+  // Pushed without credit: the header is routed at once, the next four
+  // fill the 4-deep local input, the sixth overflows it.
+  r.be_router().push_input(kLocalPort, Flit{hf});
+  for (int i = 0; i < 4; ++i) r.be_router().push_input(kLocalPort, Flit{});
+  try {
+    r.be_router().push_input(kLocalPort, Flit{});
+    FAIL() << "overflow not detected";
+  } catch (const mango::ModelError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("BE input buffer overflow at " + r.name() + ".beL.vc0"),
+              std::string::npos)
+        << what;
+  }
+  EXPECT_EQ(r.be_router().input(kLocalPort).size(), 4u);
+  EXPECT_EQ(r.be_router().input(kWestPort).size(), 0u);
 }
 
 }  // namespace

@@ -102,17 +102,13 @@ TEST_F(FailureFixture, ProgrammingPacketForLiveConnectionDetected) {
 TEST_F(FailureFixture, SteeringIntoNonexistentVcDetected) {
   // Hand-crafted steering bits select a local interface beyond the
   // configured count (2 in this shrunken config).
-  sim::Simulator sim2;
   RouterConfig small;
   small.local_gs_ifaces = 2;
   const StageDelays delays = stage_delays(TimingCorner::kWorstCase);
-  SwitchingModule sw(sim2, small, delays);
-  sw.set_gs_sink([](VcBufferId, Flit&&) {});
+  SwitchingModule sw(small, delays);
   const SteerBits valid = sw.encode_gs(port_of(Direction::kWest),
                                        VcBufferId{kLocalPort, 1});
-  Flit f;
-  EXPECT_THROW(sw.route(port_of(Direction::kWest),
-                        LinkFlit{SteerBits{valid.split, 3}, f}),
+  EXPECT_THROW(sw.route(port_of(Direction::kWest), SteerBits{valid.split, 3}),
                mango::ModelError);
 }
 

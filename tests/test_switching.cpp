@@ -1,9 +1,8 @@
 // Unit + property tests for the non-blocking switching module (Fig 5).
 #include <gtest/gtest.h>
 
-#include <optional>
-
 #include "noc/common/config.hpp"
+#include "noc/router/router.hpp"
 #include "noc/router/switching.hpp"
 #include "sim/simulator.hpp"
 #include "sim/context.hpp"
@@ -12,11 +11,9 @@ namespace mango::noc {
 namespace {
 
 struct SwitchingFixture : ::testing::Test {
-  sim::SimContext ctx;
-  sim::Simulator& sim = ctx.sim();
   RouterConfig cfg;
   StageDelays delays = stage_delays(TimingCorner::kWorstCase);
-  SwitchingModule sw{sim, cfg, delays};
+  SwitchingModule sw{cfg, delays};
 };
 
 TEST_F(SwitchingFixture, NetworkInputMapUsesAllEightCodes) {
@@ -95,73 +92,68 @@ TEST_F(SwitchingFixture, BeCodesExistOnNetworkInputsOnly) {
   EXPECT_THROW(sw.be_code(kLocalPort), mango::ModelError);
 }
 
-TEST_F(SwitchingFixture, GsDeliveryIsConstantLatency) {
-  std::optional<VcBufferId> delivered_to;
-  sim::Time delivered_at = 0;
-  sw.set_gs_sink([&](VcBufferId id, Flit&&) {
-    delivered_to = id;
-    delivered_at = sim.now();
-  });
+TEST_F(SwitchingFixture, GsRouteIsConstantLatency) {
   const VcBufferId dest{port_of(Direction::kEast), 5};
   const SteerBits steer = sw.encode_gs(port_of(Direction::kWest), dest);
-  Flit f;
-  f.data = 99;
-  sim.at(1000, [&] {
-    sw.route(port_of(Direction::kWest), LinkFlit{steer, f});
-  });
-  sim.run();
-  ASSERT_TRUE(delivered_to.has_value());
-  EXPECT_EQ(*delivered_to, dest);
+  const SwitchingModule::PlannedHop hop =
+      sw.route(port_of(Direction::kWest), steer);
+  EXPECT_FALSE(hop.to_be);
+  EXPECT_EQ(hop.target, dest);
   // Non-blocking: split + switch + unsharebox latch, always.
-  EXPECT_EQ(delivered_at,
-            1000 + delays.split_fwd + delays.switch_fwd + delays.unshare_fwd);
+  EXPECT_EQ(hop.stage_delay,
+            delays.split_fwd + delays.switch_fwd + delays.unshare_fwd);
 }
 
-TEST_F(SwitchingFixture, BeDeliveryAfterSplitOnly) {
-  std::optional<PortIdx> from;
-  sim::Time at = 0;
-  sw.set_be_sink([&](PortIdx in, Flit&&) {
-    from = in;
-    at = sim.now();
-  });
+TEST_F(SwitchingFixture, BeRouteAfterSplitOnly) {
   const PortIdx in = port_of(Direction::kSouth);
-  Flit f;
-  sim.at(500, [&] {
-    sw.route(in, LinkFlit{SteerBits{sw.be_code(in), 0}, f});
-  });
-  sim.run();
-  ASSERT_TRUE(from.has_value());
-  EXPECT_EQ(*from, in);
-  EXPECT_EQ(at, 500 + delays.split_fwd);
+  const SwitchingModule::PlannedHop hop =
+      sw.route(in, SteerBits{sw.be_code(in), 0});
+  EXPECT_TRUE(hop.to_be);
+  EXPECT_EQ(hop.stage_delay, delays.split_fwd);
 }
 
 TEST_F(SwitchingFixture, CountsRoutedFlits) {
-  sw.set_gs_sink([](VcBufferId, Flit&&) {});
   const SteerBits steer =
       sw.encode_gs(kLocalPort, {port_of(Direction::kNorth), 0});
-  for (int i = 0; i < 5; ++i) {
-    sw.route(kLocalPort, LinkFlit{steer, Flit{}});
-  }
-  sim.run();
+  for (int i = 0; i < 5; ++i) sw.route(kLocalPort, steer);
+  sw.plan(kLocalPort, steer);  // send-time decode: not a traversal
   EXPECT_EQ(sw.flits_routed(), 5u);
 }
 
-TEST(SwitchingConfig, RejectsOversizedVcCounts) {
+TEST(SwitchingInRouter, GsFlitLandsAfterTheStageDelay) {
   sim::SimContext ctx;
   sim::Simulator& sim = ctx.sim();
+  const StageDelays delays = stage_delays(TimingCorner::kWorstCase);
+  Router r(ctx, RouterConfig{}, NodeId{0, 0}, "R");
+  const VcBufferId dest{kLocalPort, 1};
+  const SteerBits steer =
+      r.switching().encode_gs(port_of(Direction::kWest), dest);
+  const sim::Time landing =
+      1000 + delays.split_fwd + delays.switch_fwd + delays.unshare_fwd;
+  Flit f;
+  f.data = 99;
+  sim.at(1000, [&] {
+    r.receive_link_flit(port_of(Direction::kWest), LinkFlit{steer, f});
+  });
+  sim.run_until(landing - 1);
+  EXPECT_EQ(r.vc_buffer(dest).flits_through(), 0u);
+  sim.run_until(landing);
+  EXPECT_EQ(r.vc_buffer(dest).flits_through(), 1u);
+  EXPECT_EQ(r.switching().flits_routed(), 1u);
+}
+
+TEST(SwitchingConfig, RejectsOversizedVcCounts) {
   RouterConfig cfg;
   cfg.vcs_per_port = 9;  // 5 steering bits cap at 8
   const StageDelays delays = stage_delays(TimingCorner::kWorstCase);
-  EXPECT_THROW(SwitchingModule(sim, cfg, delays), mango::ModelError);
+  EXPECT_THROW(SwitchingModule(cfg, delays), mango::ModelError);
 }
 
 TEST(SwitchingConfig, SmallerVcCountsWork) {
-  sim::SimContext ctx;
-  sim::Simulator& sim = ctx.sim();
   RouterConfig cfg;
   cfg.vcs_per_port = 4;  // one half-switch per output
   const StageDelays delays = stage_delays(TimingCorner::kWorstCase);
-  SwitchingModule sw(sim, cfg, delays);
+  SwitchingModule sw(cfg, delays);
   const SteerBits s = sw.encode_gs(kLocalPort, {port_of(Direction::kWest), 3});
   const auto d = sw.decode(kLocalPort, s.split);
   EXPECT_EQ(d.out, port_of(Direction::kWest));

@@ -71,11 +71,12 @@ void usage(std::FILE* out) {
       "  --jobs N              worker threads (default: hardware cores)\n"
       "  --shards N            kernel shards per scenario: the fabric is\n"
       "                        partitioned across N threads advancing in\n"
-      "                        conservative lookahead windows. Stats are\n"
-      "                        byte-identical for every N; wall time is\n"
-      "                        not. Clamped (with a warning) so that\n"
-      "                        jobs x shards never exceeds the hardware\n"
-      "                        thread count\n"
+      "                        conservative lookahead windows. N = 1 is\n"
+      "                        the reference: other N match it on the\n"
+      "                        presets CI compares, not on every spec\n"
+      "                        (see README). Clamped (with a warning)\n"
+      "                        so that jobs x shards never exceeds the\n"
+      "                        hardware thread count\n"
       "  --repeat N            run each scenario N times; stats come from\n"
       "                        run 1 (and must match every rerun), wall\n"
       "                        time keeps the best — the JSON report's\n"
