@@ -194,7 +194,8 @@ void Router::receive_link_flit(PortIdx in_port, LinkFlit lf) {
   // The split module (and for GS the half-switch and unsharebox latch)
   // delays the flit by the decoded stage delay; it then lands in the BE
   // router's input or in the target VC buffer.
-  const SwitchingModule::PlannedHop hop = switching_.route(in_port, lf.steer);
+  const SwitchingModule::PlannedHop hop = switching_.plan(in_port, lf.steer);
+  switching_.note_routed();
   sim::TypedEvent ev{};
   if (hop.to_be) {
     ev.op = events::kOpSwitchBe;

@@ -48,24 +48,16 @@ class SwitchingModule {
     sim::Time stage_delay = 0;  ///< split (+ switch + unshare for GS)
   };
 
-  /// Routes a link flit arriving on `in_port`: decodes its steering
-  /// bits and counts the traversal. The owning Router lands the flit at
-  /// the returned destination after the stage delay. ModelError on an
-  /// unmapped split code or a nonexistent VC buffer.
-  PlannedHop route(PortIdx in_port, SteerBits steer) {
-    const PlannedHop hop = plan(in_port, steer);
-    ++flits_routed_;
-    return hop;
-  }
-
-  /// Send-time decode for the coalesced transfer path: the split map is
-  /// static, so the upstream hop can resolve the destination when it
-  /// schedules the link event and fold the stage delay into the arrival
-  /// timestamp. Same checks as route(); counts nothing.
+  /// Decodes the steering bits of a flit entering on `in_port`. The
+  /// owning Router lands a link flit at the returned destination after
+  /// the stage delay; the coalesced transfer path decodes at send time
+  /// (the split map is static) and folds the stage delay into the
+  /// arrival timestamp. Counts nothing. ModelError on an unmapped split
+  /// code or a nonexistent VC buffer.
   PlannedHop plan(PortIdx in_port, SteerBits steer) const;
 
-  /// Counts a flit delivered through a coalesced transfer event (the
-  /// stage traversal happened analytically).
+  /// Counts one flit's traversal of the switch (on arrival, or on a
+  /// coalesced transfer's delivery).
   void note_routed() { ++flits_routed_; }
 
   /// Computes the steering bits a previous hop must append so that a flit

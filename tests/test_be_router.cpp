@@ -140,16 +140,15 @@ TEST(BeRouterWiring, DualVcPacketsInterleaveOnOneOutput) {
   EXPECT_EQ(got[1].size(), 25u);
 }
 
-TEST(BeRouterWiring, CreditsReturnPerFlitAndRoutingIsPaced) {
+TEST(BeRouterWiring, CreditsReturnPerFlit) {
   BeFixture h;
-  const StageDelays d = stage_delays(TimingCorner::kWorstCase);
   const unsigned depth = RouterConfig{}.be_buffer_depth;
   BeOutputStage& east = h.net->router({0, 0}).be_output(kEastPort);
   EXPECT_EQ(east.credits(), depth);
   // An 8-flit packet exceeds the 4-deep input buffers: it only gets
   // through if every routed flit hands its credit back upstream.
   h.send({0, 0}, {2, 0}, {1, 2, 3, 4, 5, 6, 7}, 3);
-  h.sim.run_until(8 * d.arb_cycle);
+  h.sim.run_until(8 * h.net->router({0, 0}).delays().arb_cycle);
   EXPECT_LT(east.credits(), depth);  // flits in flight downstream
   h.sim.run();
   ASSERT_EQ(h.at({2, 0}).size(), 1u);
@@ -159,8 +158,50 @@ TEST(BeRouterWiring, CreditsReturnPerFlitAndRoutingIsPaced) {
   EXPECT_EQ(h.net->na({0, 0}).be_credits(), depth);
   EXPECT_EQ(h.be({0, 0}).flits_routed(), 8u);
   EXPECT_EQ(h.be({0, 0}).packets_routed(), 1u);
-  // One route cycle per flit at every router on the way.
-  EXPECT_GE(h.sim.now(), 8 * d.be_route_cycle);
+}
+
+TEST(BeRouterWiring, RoutingIsPacedAtTheRouteCycle) {
+  BeFixture h;
+  Router& r = h.net->router({1, 1});
+  BeRouter& be = r.be_router();
+  const sim::Time cycle = r.delays().be_route_cycle;
+  const BeHeader header = h.net->be_header({1, 1}, {2, 1});
+  Flit hf;
+  hf.data = header.word;
+  hf.thdr = header.table;
+  Flit last;
+  last.eop = true;
+  const sim::Time arb_cycle = r.delays().arb_cycle;
+  // A header and three flits queued at once on the local input, bound
+  // East. The header is routed at once; every later flit waits for the
+  // previous flit's route cycle. The first flit takes the link when it
+  // reaches East's two-deep output lane, so the first three flits are
+  // paced by the route cycle alone.
+  const sim::Time t0 = h.sim.now();
+  be.push_input(kLocalPort, Flit{hf});
+  be.push_input(kLocalPort, Flit{});
+  be.push_input(kLocalPort, Flit{});
+  be.push_input(kLocalPort, Flit{last});
+  EXPECT_EQ(be.flits_routed(), 1u);
+  for (unsigned k = 1; k <= 2; ++k) {
+    h.sim.run_until(t0 + k * cycle - 1);
+    EXPECT_EQ(be.flits_routed(), k) << "before route cycle " << k;
+    h.sim.run_until(t0 + k * cycle);
+    EXPECT_EQ(be.flits_routed(), k + 1) << "at route cycle " << k;
+  }
+  // The second and third flits then fill the lane while the link stage
+  // recovers: the last flit waits for the next grant, one arb_cycle
+  // after the first.
+  ASSERT_GT(t0 + cycle + arb_cycle, t0 + 3 * cycle);
+  h.sim.run_until(t0 + cycle + arb_cycle - 1);
+  EXPECT_EQ(be.flits_routed(), 3u);
+  h.sim.run_until(t0 + cycle + arb_cycle);
+  EXPECT_EQ(be.flits_routed(), 4u);
+  h.sim.run();
+  EXPECT_EQ(be.packets_routed(), 1u);
+  EXPECT_EQ(be.flits_to(kEastPort), 4u);
+  ASSERT_EQ(h.at({2, 1}).size(), 1u);
+  EXPECT_EQ(h.at({2, 1})[0].size(), 4u);
 }
 
 TEST(BeRouterWiring, InputBufferOverflowNamesTheBuffer) {

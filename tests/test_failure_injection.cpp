@@ -108,7 +108,7 @@ TEST_F(FailureFixture, SteeringIntoNonexistentVcDetected) {
   SwitchingModule sw(small, delays);
   const SteerBits valid = sw.encode_gs(port_of(Direction::kWest),
                                        VcBufferId{kLocalPort, 1});
-  EXPECT_THROW(sw.route(port_of(Direction::kWest), SteerBits{valid.split, 3}),
+  EXPECT_THROW(sw.plan(port_of(Direction::kWest), SteerBits{valid.split, 3}),
                mango::ModelError);
 }
 

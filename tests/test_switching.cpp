@@ -96,7 +96,7 @@ TEST_F(SwitchingFixture, GsRouteIsConstantLatency) {
   const VcBufferId dest{port_of(Direction::kEast), 5};
   const SteerBits steer = sw.encode_gs(port_of(Direction::kWest), dest);
   const SwitchingModule::PlannedHop hop =
-      sw.route(port_of(Direction::kWest), steer);
+      sw.plan(port_of(Direction::kWest), steer);
   EXPECT_FALSE(hop.to_be);
   EXPECT_EQ(hop.target, dest);
   // Non-blocking: split + switch + unsharebox latch, always.
@@ -107,7 +107,7 @@ TEST_F(SwitchingFixture, GsRouteIsConstantLatency) {
 TEST_F(SwitchingFixture, BeRouteAfterSplitOnly) {
   const PortIdx in = port_of(Direction::kSouth);
   const SwitchingModule::PlannedHop hop =
-      sw.route(in, SteerBits{sw.be_code(in), 0});
+      sw.plan(in, SteerBits{sw.be_code(in), 0});
   EXPECT_TRUE(hop.to_be);
   EXPECT_EQ(hop.stage_delay, delays.split_fwd);
 }
@@ -115,8 +115,9 @@ TEST_F(SwitchingFixture, BeRouteAfterSplitOnly) {
 TEST_F(SwitchingFixture, CountsRoutedFlits) {
   const SteerBits steer =
       sw.encode_gs(kLocalPort, {port_of(Direction::kNorth), 0});
-  for (int i = 0; i < 5; ++i) sw.route(kLocalPort, steer);
-  sw.plan(kLocalPort, steer);  // send-time decode: not a traversal
+  sw.plan(kLocalPort, steer);  // a decode alone is not a traversal
+  EXPECT_EQ(sw.flits_routed(), 0u);
+  for (int i = 0; i < 5; ++i) sw.note_routed();
   EXPECT_EQ(sw.flits_routed(), 5u);
 }
 
